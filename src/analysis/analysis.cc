@@ -30,6 +30,7 @@ struct VarDecl {
   bool synthetic = false;  // loop variables: assigned by the runtime
   int input_index = -1;
   int loop_depth = 0;  // foreach nesting at the declaration site
+  const Stmt* init_decl = nullptr;  // scalar declaration with an initializer
 };
 
 // The mutable dataflow facts; snapshot/merged around branches and loops.
@@ -90,12 +91,15 @@ class Analyzer {
     diagnostics_.push_back({sev, kind, line, std::move(var), std::move(message)});
   }
 
+  void note_single_write(const Stmt* decl) { single_write_.insert(decl); }
+
  private:
   const Program& prog_;
   std::map<std::string, const FunctionDef*> functions_;
   std::map<std::string, Summary> summaries_;
   std::set<std::string> in_progress_;
   std::vector<Diagnostic> diagnostics_;
+  std::set<const Stmt*> single_write_;
 };
 
 // Per-function (or main) dataflow walk. Declarations accumulate in
@@ -412,7 +416,10 @@ void Context::analyze_stmt(const Stmt& s, std::vector<Node>& nodes) {
   switch (s.kind) {
     case Stmt::Kind::kDecl: {
       int idx = declare(s.name, s.line, s.is_array);
-      if (s.value && !s.is_array) assign_value(idx, s.line, *s.value, nodes);
+      if (s.value && !s.is_array) {
+        decls_[static_cast<size_t>(idx)].init_decl = &s;
+        assign_value(idx, s.line, *s.value, nodes);
+      }
       return;
     }
     case Stmt::Kind::kAssign: {
@@ -634,6 +641,7 @@ void Context::finish() {
   for (size_t i = 0; i < decls_.size(); ++i) {
     const VarDecl& d = decls_[i];
     const VarState& st = state_[i];
+    if (d.init_decl != nullptr && st.max_writes <= 1) an_.note_single_write(d.init_decl);
     if (d.synthetic || d.is_input) continue;
     if (d.is_output) {
       if (st.max_writes == 0) {
@@ -732,6 +740,7 @@ Report Analyzer::run() {
     if (d.kind == DiagKind::kDoubleWrite) dw_errors.insert(d.var);
   }
   Report report;
+  report.single_write = std::move(single_write_);
   for (auto& d : diagnostics_) {
     if (d.kind == DiagKind::kMaybeDoubleWrite && dw_errors.count(d.var) > 0) continue;
     report.diagnostics.push_back(std::move(d));

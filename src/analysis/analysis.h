@@ -30,6 +30,7 @@
 // engine's stuck-future report (see turbine::Engine::stuck_report).
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,11 @@ struct Diagnostic {
 
 struct Report {
   std::vector<Diagnostic> diagnostics;  // sorted by line
+
+  // Scalar declarations whose initializer is their only write, on every
+  // path, in main and every composite body. The compiler's value pass
+  // may keep these engine-local (see swift/compiler.h).
+  std::set<const swift::Stmt*> single_write;
 
   bool has_errors() const;
   size_t error_count() const;

@@ -27,7 +27,7 @@ namespace ilps::serve {
 namespace detail {
 
 // A Swift source compiled once: namespaced MiniTcl proc definitions plus
-// the entry proc name. `datum` is the resident store copy (created by the
+// the entry script. `datum` is the resident store copy (created by the
 // ingress rank under request 0, so the namespace GC never sweeps it);
 // only the ingress thread reads or writes it.
 struct CompiledProgram {
@@ -59,7 +59,11 @@ class ProgramCache {
     const std::string ns = "p" + std::to_string(ns_id) + ":";
     auto prog = std::make_shared<CompiledProgram>();
     prog->tcl = swift::compile(source, ns);  // parse + verify + codegen
-    prog->entry = ns + "swift:main";
+    // The entry runs as a zero-input LOCAL rule on the owner engine, so
+    // every request's timeline has the same shape (begin -> rule fire ->
+    // tasks) even when the value pass leaves its program no rules of
+    // its own.
+    prog->entry = "turbine::rule {} " + ns + "swift:main type LOCAL";
     ilps::LockGuard lock(mu_);
     auto [it, inserted] = by_source_.emplace(source, prog);
     if (!inserted) {

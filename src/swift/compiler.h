@@ -5,14 +5,25 @@
 // user function, numbered helper procs for loop bodies and if branches,
 // and a `proc swift:main` holding the top-level statements.
 //
-// The compilation model matches the paper's description of Swift/T:
-// every Swift variable is a future (a Turbine datum id held in a Tcl
-// variable of the same name); operators become LOCAL rules; leaf calls
-// become WORK rules whose action retrieves inputs, runs the user's Tcl
-// template / Python / R / shell fragment, and stores outputs; `foreach`
-// splits into control tasks shipped through ADLB so loop bodies spread
-// over engines; `if` on a future becomes a control task released by the
-// condition.
+// The compilation model matches the paper's description of Swift/T, with
+// STC's value pass (Armstrong et al., SC 2014): every expression compiles
+// to a *value* (a Tcl word the engine already holds) or a *future* (a
+// Turbine datum id). Literals, foreach indices, and scalars whose
+// declaration initializer is their only write (analysis::Report::
+// single_write) are values when every input is; such a variable is a Tcl
+// local of the same name. Other variables are futures, held by id in a
+// Tcl variable of the same name. A tree of builtin operators compiles to
+// ONE rule that waits on the tree's unclosed future leaves and computes
+// the whole tree in its body (no rule at all when there are none); the
+// compiler tracks which futures a rule's inputs imply closed, so code
+// that runs after them reads those directly. Leaf calls become WORK rules
+// whose action carries value arguments as words and retrieves future
+// ones on the worker, then runs the user's Tcl template / Python / R /
+// shell fragment and stores outputs. A value becomes a datum only where a
+// future is required: composite-call arguments, array keys and elements.
+// `foreach` splits into control tasks shipped through ADLB so loop bodies
+// spread over engines; `if` on a future becomes a control task released
+// by the condition's inputs.
 #pragma once
 
 #include <string>
