@@ -1,4 +1,4 @@
-// Ablations of two ILPS design choices (called out in DESIGN.md):
+// Ablation of an ILPS design choice (called out in DESIGN.md):
 //
 //  A1 — rebalance batch size. A hungry server receives half of a peer's
 //       untargeted queue (ADLB's steal-half) vs. a single work unit per
@@ -6,19 +6,12 @@
 //       tasks; consumers homed on the other servers must pull everything
 //       across. Single-unit transfers require a Hungry round trip per
 //       task; steal-half amortizes.
-//
-//  A2 — notification priority. Close notifications are boosted above user
-//       work so dataflow keeps unfolding ahead of leaf tasks, vs. queued
-//       at normal priority behind them. Workload: a deep dependency chain
-//       interleaved with a flood of cheap independent tasks sharing the
-//       control queue.
 #include <unistd.h>
 
 #include <string>
 
 #include "bench/bench_util.h"
 #include "runtime/runner.h"
-#include "swift/compiler.h"
 
 using namespace ilps;
 
@@ -61,31 +54,6 @@ AblationResult run_rebalance(bool steal_half, int tasks) {
   return out;
 }
 
-// Returns (chain-end latency, total makespan).
-std::pair<double, double> run_notification_priority(bool boosted, int chain, int noise) {
-  runtime::Config cfg;
-  cfg.engines = 1;
-  cfg.workers = 4;
-  cfg.servers = 1;
-  cfg.priority_notifications = boosted;
-  // A chain of dependent steps racing `noise` independent control tasks
-  // for the engine's attention; the metric is when the chain's final
-  // printf arrives, not the total makespan.
-  std::string src = "(int o) step (int i) [ \"set <<o>> [ expr <<i>> + 1 ]\" ];\n";
-  src += "foreach n in [1:" + std::to_string(noise) + "] { trace(n); }\n";
-  std::string prev;
-  src += "int v0 = step(0);\n";
-  prev = "v0";
-  for (int d = 1; d < chain; ++d) {
-    std::string cur = "v" + std::to_string(d);
-    src += "int " + cur + " = step(" + prev + ");\n";
-    prev = cur;
-  }
-  src += "printf(\"end=%d\", " + prev + ");\n";
-  auto r = runtime::run_program(cfg, swift::compile(src));
-  return {r.time_of("end="), r.elapsed_seconds};
-}
-
 }  // namespace
 
 int main() {
@@ -112,28 +80,6 @@ int main() {
                bench::fmt("%.3f", r.elapsed), std::to_string(r.messages),
                std::to_string(r.hungry), std::to_string(r.batches),
                std::to_string(r.rebalanced)});
-      }
-    }
-    t.print();
-  }
-
-  bench::banner("A2", "notification priority: boosted vs plain",
-                "boosting close notifications lets the dependency chain keep "
-                "unfolding ahead of queued noise tasks");
-  {
-    bench::Table t({"policy", "chain", "noise_tasks", "chain_latency_s", "makespan_s"});
-    for (int noise : {200, 1000}) {
-      for (bool boosted : {true, false}) {
-        auto [latency, total] = run_notification_priority(boosted, 32, noise);
-        bench::JsonLine("ablation_notify_priority")
-            .add_str("policy", boosted ? "boosted" : "plain")
-            .add("chain", 32)
-            .add("noise_tasks", noise)
-            .add("chain_latency_s", latency)
-            .add("makespan_s", total)
-            .print();
-        t.row({boosted ? "boosted" : "plain", "32", std::to_string(noise),
-               bench::fmt("%.4f", latency), bench::fmt("%.3f", total)});
       }
     }
     t.print();

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "adlb/protocol.h"
+#include "common/stats.h"
 #include "mpi/comm.h"
 
 namespace ilps::adlb {
@@ -28,13 +29,13 @@ struct DataCacheStats {
   uint64_t evictions = 0;      // LRU drops to stay under the byte budget
   uint64_t invalidations = 0;  // entries dropped by piggybacked GC notices
 
-  DataCacheStats& operator+=(const DataCacheStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    invalidations += o.invalidations;
-    return *this;
-  }
+  static constexpr StatField<DataCacheStats> kFields[] = {
+      {"adlb.cache_hits", &DataCacheStats::hits},
+      {"adlb.cache_misses", &DataCacheStats::misses},
+      {"adlb.cache_evictions", &DataCacheStats::evictions},
+      {"adlb.cache_invalidations", &DataCacheStats::invalidations},
+  };
+  DataCacheStats& operator+=(const DataCacheStats& o) { return add_stats(*this, o); }
 };
 
 // Activity counters for the write-behind datum pipeline (published as the
@@ -45,12 +46,12 @@ struct DataPipelineStats {
   uint64_t flushes = 0;  // kDataBatch messages shipped
   uint64_t stalls = 0;   // ships that had to drain an ack first (window full)
 
-  DataPipelineStats& operator+=(const DataPipelineStats& o) {
-    ops += o.ops;
-    flushes += o.flushes;
-    stalls += o.stalls;
-    return *this;
-  }
+  static constexpr StatField<DataPipelineStats> kFields[] = {
+      {"adlb.pipeline_ops", &DataPipelineStats::ops},
+      {"adlb.pipeline_flushes", &DataPipelineStats::flushes},
+      {"adlb.pipeline_stalls", &DataPipelineStats::stalls},
+  };
+  DataPipelineStats& operator+=(const DataPipelineStats& o) { return add_stats(*this, o); }
 };
 
 class Client {
@@ -150,7 +151,6 @@ class Client {
     int64_t prog = 0;      // datum id of the request's program text
   };
   void set_serve_ctx(const ServeCtx& ctx) { serve_ = ctx; }
-  void clear_serve_ctx() { serve_ = {}; }
   const ServeCtx& serve_ctx() const { return serve_; }
 
   // Owner-engine accounting hooks. on_spawned(req) fires when a unit of

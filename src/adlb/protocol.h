@@ -32,15 +32,16 @@ inline constexpr int kTypeControl = 1;
 // Put target meaning "any rank".
 inline constexpr int kAnyRank = -1;
 
+// Queue priority of close notifications and serve spawn notices: above
+// any user work, so dataflow graphs keep unfolding ahead of leaf tasks.
+inline constexpr int kNotificationPriority = 1 << 20;
+
 struct Config {
   int nservers = 1;
   int ntypes = 2;
   // Rebalancing batch policy: ship half the queue per Hungry notice (ADLB
   // steal-half) or a single unit. Ablated in bench_ablation.
   bool steal_half = true;
-  // Close notifications outrank user work in the queues (keeps dataflow
-  // graphs unfolding ahead of leaf work). Ablated in bench_ablation.
-  bool priority_notifications = true;
 
   // ---- fast-path batching (disabled automatically under ft, whose
   // send-counting fault triggers and per-RPC liveness bookkeeping assume

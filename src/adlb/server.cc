@@ -215,7 +215,7 @@ void Server::maybe_spawn_notice(WorkUnit& unit) {
   if (unit.owner < 0 || unit.owner >= nclients) return;  // untracked request
   WorkUnit notice;
   notice.type = kTypeControl;
-  notice.priority = 1 << 20;
+  notice.priority = kNotificationPriority;
   notice.target = unit.owner;
   notice.payload = "+";
   notice.req = unit.req;
@@ -789,7 +789,7 @@ uint32_t Server::do_close(int64_t id, Datum& datum, int rpc_source) {
   for (const auto& [rank, notify_type] : datum.subscribers) {
     WorkUnit unit;
     unit.type = notify_type;
-    unit.priority = cfg_.priority_notifications ? 1 << 20 : 0;
+    unit.priority = kNotificationPriority;
     unit.target = rank;
     unit.payload = std::to_string(id);
     accept_unit(unit);

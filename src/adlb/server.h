@@ -34,6 +34,7 @@
 
 #include "adlb/protocol.h"
 #include "ckpt/snapshot.h"
+#include "common/stats.h"
 #include "common/rng.h"
 #include "mpi/comm.h"
 
@@ -61,6 +62,29 @@ struct ServerStats {
   uint64_t heartbeat_deaths = 0;  // clients declared dead by silence
   uint64_t checkpoints = 0;       // checkpoint files written
   uint64_t replay_skips = 0;      // units skipped as already completed
+
+  static constexpr StatField<ServerStats> kFields[] = {
+      {"adlb.puts", &ServerStats::puts},
+      {"adlb.gets", &ServerStats::gets},
+      {"adlb.matches", &ServerStats::matches},
+      {"adlb.forwards", &ServerStats::forwards},
+      {"adlb.hungry_notices", &ServerStats::hungry_notices},
+      {"adlb.batches_sent", &ServerStats::batches_sent},
+      {"adlb.units_rebalanced", &ServerStats::units_rebalanced},
+      {"adlb.steal_batches", &ServerStats::steal_batches},
+      {"adlb.steal_batch_units", &ServerStats::steal_batch_units},
+      {"adlb.notifications", &ServerStats::notifications},
+      {"adlb.data_ops", &ServerStats::data_ops},
+      {"adlb.tokens", &ServerStats::tokens},
+      {"adlb.leftover_data", &ServerStats::leftover_data},
+      {"adlb.stuck_datums", &ServerStats::stuck_datums},
+      {"adlb.requeues", &ServerStats::requeues},
+      {"adlb.task_failures", &ServerStats::task_failures},
+      {"adlb.heartbeat_deaths", &ServerStats::heartbeat_deaths},
+      {"adlb.checkpoints", &ServerStats::checkpoints},
+      {"adlb.replay_skips", &ServerStats::replay_skips},
+  };
+  ServerStats& operator+=(const ServerStats& o) { return add_stats(*this, o); }
 };
 
 class Server {
@@ -101,7 +125,6 @@ class Server {
   void after_dispatch();
 
   // ---- fault tolerance ----
-  bool ft_active() const { return cfg_.ft; }
   bool is_engine_client(int client) const { return client < cfg_.nengines; }
   void handle_task_failed(int source, ser::Reader& r);
   void on_rank_dead_notice(int rank);   // kTagFault arrived for `rank`

@@ -211,3 +211,4 @@ class RelaxedCounter {
 // ILPS_LOCK_ORDER: mpi.lane_mu < mpi.wake_mu
 // ILPS_LOCK_ORDER: obs.registry_mu < common.log_mu
 // ILPS_LOCK_ORDER: mpi.wake_mu < common.log_mu
+// ILPS_LOCK_ORDER: runtime.world_mu < common.log_mu

@@ -175,8 +175,6 @@ class RequestScope {
   int64_t prev_;
 };
 
-inline int64_t current_request() { return ilps::log::thread_request(); }
-
 // Request-capture registry: while a request id is registered, every traced
 // event carrying that id is also copied into a per-request buffer so the
 // full cross-rank trace can be stitched at completion (per-request

@@ -1,6 +1,7 @@
 #include "runtime/runner.h"
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "adlb/client.h"
@@ -12,7 +13,6 @@
 #include "common/timer.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "serve/serve.h"
 
 namespace ilps::runtime {
 
@@ -32,229 +32,92 @@ bool RunResult::contains(const std::string& needle) const {
   return false;
 }
 
-double RunResult::time_of(const std::string& needle) const {
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].find(needle) != std::string::npos) {
-      return i < line_times.size() ? line_times[i] : -1.0;
-    }
-  }
-  return -1.0;
-}
-
 namespace {
 
-// The fault-tolerant attempt loop body. The plain (non-ft) path lives in
-// serve::Service::run_batch — run_program is a thin wrapper over it — but
-// restart orchestration needs to own the World (fault plans, dead-rank
-// harvesting, trace merging across attempts), so the ft world body stays
-// here.
-RunResult run_ft_attempt(const Config& cfg, const std::string& program, mpi::World& world,
-                         const ckpt::Snapshot* restore) {
-  // The swift:main convention (see runner.h): load everywhere, run once.
-  const bool has_main = program.find("proc swift:main") != std::string::npos;
-  if (cfg.engines < 1) throw Error("runtime: at least one engine rank is required");
-  if (cfg.workers < 1) throw Error("runtime: at least one worker rank is required");
-  if (cfg.servers < 1) throw Error("runtime: at least one server rank is required");
+// Where a world's ranks meet: each rank adds its output and, as it
+// finishes, every layer's counters, one += per struct under one lock.
+class WorldTotals {
+ public:
+  explicit WorldTotals(bool echo) : echo_(echo) {}
 
-  adlb::Config acfg = cfg.adlb();
-  acfg.ft = true;
-  acfg.nengines = cfg.engines;
-  acfg.max_task_retries = cfg.max_task_retries;
-  acfg.retry_backoff_ms = cfg.retry_backoff_ms;
-  acfg.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
-  acfg.ckpt_interval = cfg.ckpt_interval;
-  acfg.ckpt_dir = cfg.ckpt_dir;
-
-  RunResult result;
-  ilps::Mutex mu;  // guards result + pending across rank threads
-  std::string pending;  // partial line accumulator across emits
-  Timer timer;
-
-  auto sink = [&](int rank, const std::string& text) {
-    (void)rank;
-    ilps::LockGuard lock(mu);
-    if (cfg.echo_output) std::fwrite(text.data(), 1, text.size(), stdout);
-    pending += text;
+  // The default output sink: splits fragments into lines.
+  void emit(const std::string& text) {
+    ilps::LockGuard lock(mu_);
+    if (echo_) std::fwrite(text.data(), 1, text.size(), stdout);
+    pending_ += text;
     size_t pos;
-    while ((pos = pending.find('\n')) != std::string::npos) {
-      result.lines.push_back(pending.substr(0, pos));
-      result.line_times.push_back(timer.elapsed());
-      pending.erase(0, pos + 1);
+    while ((pos = pending_.find('\n')) != std::string::npos) {
+      result_.lines.push_back(pending_.substr(0, pos));
+      result_.line_times.push_back(timer_.elapsed());
+      pending_.erase(0, pos + 1);
     }
-  };
-  auto body = [&](mpi::Comm& comm) {
-    if (adlb::is_server(comm.rank(), comm.size(), acfg)) {
-      adlb::Server server(comm, acfg, restore);
-      server.serve();
-      ilps::LockGuard lock(mu);
-      const adlb::ServerStats& s = server.stats();
-      result.server_stats.puts += s.puts;
-      result.server_stats.gets += s.gets;
-      result.server_stats.matches += s.matches;
-      result.server_stats.forwards += s.forwards;
-      result.server_stats.hungry_notices += s.hungry_notices;
-      result.server_stats.batches_sent += s.batches_sent;
-      result.server_stats.units_rebalanced += s.units_rebalanced;
-      result.server_stats.steal_batches += s.steal_batches;
-      result.server_stats.steal_batch_units += s.steal_batch_units;
-      result.server_stats.notifications += s.notifications;
-      result.server_stats.data_ops += s.data_ops;
-      result.server_stats.tokens += s.tokens;
-      result.server_stats.leftover_data += s.leftover_data;
-      result.server_stats.stuck_datums += s.stuck_datums;
-      result.server_stats.requeues += s.requeues;
-      result.server_stats.task_failures += s.task_failures;
-      result.server_stats.heartbeat_deaths += s.heartbeat_deaths;
-      result.server_stats.checkpoints += s.checkpoints;
-      result.server_stats.replay_skips += s.replay_skips;
-      return;
+  }
+
+  void add(const adlb::ServerStats& s) {
+    ilps::LockGuard lock(mu_);
+    result_.server_stats += s;
+  }
+
+  // A client rank's counters: its context's unless it is the ingress
+  // rank, its engine's (and the rules it left unfired) on engine ranks.
+  void add(const adlb::Client& client, turbine::Context* ctx = nullptr,
+           const turbine::Engine* engine = nullptr, size_t unfired = 0) {
+    ilps::LockGuard lock(mu_);
+    result_.cache_stats += client.cache_stats();
+    result_.pipeline_stats += client.pipeline_stats();
+    if (ctx != nullptr) {
+      result_.worker_stats += ctx->stats();
+      result_.tcl_stats += ctx->interp().compile_stats();
+      result_.tcl_units_cached += ctx->units_cached();
     }
-
-    adlb::Client client(comm, acfg);
-    turbine::ContextConfig ccfg;
-    ccfg.policy = cfg.policy;
-    ccfg.restricted_os = cfg.restricted_os;
-    ccfg.ft = true;
-    ccfg.output = sink;
-    ccfg.setup_interp = cfg.setup_interp;
-    ccfg.setup_bindings = cfg.setup_bindings;
-
-    if (comm.rank() < cfg.engines) {
-      turbine::Engine engine(client);
-      turbine::Context ctx(client, &engine, ccfg);
-      std::string to_run;
-      if (has_main) {
-        ctx.interp().eval(program);
-        if (comm.rank() == 0) to_run = "swift:main";
-      } else if (comm.rank() == 0) {
-        to_run = program;
-      }
-      size_t unfired = ctx.run_engine(to_run);
-      std::vector<turbine::StuckRule> stuck;
-      if (unfired > 0) {
-        stuck = engine.stuck_report();
-        for (const auto& rule : stuck) {
-          obs::instant(obs::EventKind::kRuleStuck, rule.id,
-                       static_cast<int64_t>(rule.waiting.size()));
-        }
-      }
-      ilps::LockGuard lock(mu);
-      result.unfired_rules += unfired;
-      for (auto& rule : stuck) result.stuck.push_back(std::move(rule));
-      const turbine::EngineStats& es = engine.stats();
-      result.engine_stats.rules_created += es.rules_created;
-      result.engine_stats.rules_fired += es.rules_fired;
-      result.engine_stats.rules_fired_immediately += es.rules_fired_immediately;
-      result.engine_stats.notifications += es.notifications;
-      result.engine_stats.subscribes += es.subscribes;
-      const turbine::WorkerStats& ws = ctx.stats();
-      result.worker_stats.tasks += ws.tasks;
-      result.worker_stats.python_evals += ws.python_evals;
-      result.worker_stats.r_evals += ws.r_evals;
-      result.worker_stats.app_execs += ws.app_execs;
-      result.worker_stats.interpreter_resets += ws.interpreter_resets;
-      result.cache_stats += client.cache_stats();
-      result.pipeline_stats += client.pipeline_stats();
-      const tcl::Interp::CompileStats& cs = ctx.interp().compile_stats();
-      result.tcl_stats.hits += cs.hits;
-      result.tcl_stats.misses += cs.misses;
-      result.tcl_stats.bailouts += cs.bailouts;
-      result.tcl_units_cached += ctx.units_cached();
-    } else {
-      turbine::Context ctx(client, nullptr, ccfg);
-      if (has_main) ctx.interp().eval(program);
-      ctx.run_worker();
-      ilps::LockGuard lock(mu);
-      const turbine::WorkerStats& ws = ctx.stats();
-      result.worker_stats.tasks += ws.tasks;
-      result.worker_stats.python_evals += ws.python_evals;
-      result.worker_stats.r_evals += ws.r_evals;
-      result.worker_stats.app_execs += ws.app_execs;
-      result.worker_stats.interpreter_resets += ws.interpreter_resets;
-      result.cache_stats += client.cache_stats();
-      result.pipeline_stats += client.pipeline_stats();
-      const tcl::Interp::CompileStats& cs = ctx.interp().compile_stats();
-      result.tcl_stats.hits += cs.hits;
-      result.tcl_stats.misses += cs.misses;
-      result.tcl_stats.bailouts += cs.bailouts;
-      result.tcl_units_cached += ctx.units_cached();
+    if (engine == nullptr) return;
+    result_.engine_stats += engine->stats();
+    result_.unfired_rules += unfired;
+    if (unfired == 0) return;
+    for (turbine::StuckRule& rule : engine->stuck_report()) {
+      obs::instant(obs::EventKind::kRuleStuck, rule.id, static_cast<int64_t>(rule.waiting.size()));
+      result_.stuck.push_back(std::move(rule));
     }
-  };
-  try {
-    world.run(body);
-  } catch (const CommError& e) {
-    // Servers signal unrecoverable conditions by aborting the world with
-    // a marker; classify the resulting CommError into the typed errors
-    // the recovery driver keys off.
-    const std::string msg = e.what();
-    if (msg.find("ilps-ft-restart:") != std::string::npos) throw RestartError(msg);
-    if (msg.find("ilps-task-failed:") != std::string::npos) throw TaskError(msg);
-    throw;
   }
-  result.elapsed_seconds = timer.elapsed();
-  result.traffic = world.stats();
-  if (const obs::Session* session = world.obs_session()) {
-    result.trace = session->merged();
-  }
-  if (!pending.empty()) {
-    result.lines.push_back(pending);
-    result.line_times.push_back(result.elapsed_seconds);
-    pending.clear();
-  }
-  return result;
-}
 
-// Publishes every layer's stat structs into the process-wide metrics
-// registry under stable dotted names (set, not add: the registry reflects
-// the most recent run; only histograms accumulate).
+  // After every rank thread has joined.
+  RunResult take(const mpi::World& world) {
+    ilps::LockGuard lock(mu_);
+    result_.elapsed_seconds = timer_.elapsed();
+    result_.traffic = world.stats();
+    if (!pending_.empty()) {
+      result_.lines.push_back(std::move(pending_));
+      result_.line_times.push_back(result_.elapsed_seconds);
+      pending_.clear();
+    }
+    return std::move(result_);
+  }
+
+ private:
+  ilps::Mutex mu_;  // runtime.world_mu
+  RunResult result_ ILPS_GUARDED_BY(mu_);
+  std::string pending_ ILPS_GUARDED_BY(mu_);  // output awaiting its newline
+  const Timer timer_;
+  const bool echo_;
+};
+
+}  // namespace
+
+// Set, not add: the registry reflects the most recent run; only
+// histograms accumulate.
 void publish_metrics(const RunResult& r) {
+  if (!obs::metrics_enabled()) return;
   obs::Metrics& m = obs::metrics();
-  const adlb::ServerStats& s = r.server_stats;
-  m.counter("adlb.puts").set(s.puts);
-  m.counter("adlb.gets").set(s.gets);
-  m.counter("adlb.matches").set(s.matches);
-  m.counter("adlb.forwards").set(s.forwards);
-  m.counter("adlb.hungry_notices").set(s.hungry_notices);
-  m.counter("adlb.batches_sent").set(s.batches_sent);
-  m.counter("adlb.units_rebalanced").set(s.units_rebalanced);
-  m.counter("adlb.steal_batches").set(s.steal_batches);
-  m.counter("adlb.steal_batch_units").set(s.steal_batch_units);
-  m.counter("adlb.notifications").set(s.notifications);
-  m.counter("adlb.data_ops").set(s.data_ops);
-  m.counter("adlb.tokens").set(s.tokens);
-  m.counter("adlb.leftover_data").set(s.leftover_data);
-  m.counter("adlb.stuck_datums").set(s.stuck_datums);
-  m.counter("adlb.requeues").set(s.requeues);
-  m.counter("adlb.task_failures").set(s.task_failures);
-  m.counter("adlb.heartbeat_deaths").set(s.heartbeat_deaths);
-  m.counter("adlb.checkpoints").set(s.checkpoints);
-  m.counter("adlb.replay_skips").set(s.replay_skips);
-  const adlb::DataCacheStats& c = r.cache_stats;
-  m.counter("adlb.cache_hits").set(c.hits);
-  m.counter("adlb.cache_misses").set(c.misses);
-  m.counter("adlb.cache_evictions").set(c.evictions);
-  m.counter("adlb.cache_invalidations").set(c.invalidations);
-  const adlb::DataPipelineStats& p = r.pipeline_stats;
-  m.counter("adlb.pipeline_ops").set(p.ops);
-  m.counter("adlb.pipeline_flushes").set(p.flushes);
-  m.counter("adlb.pipeline_stalls").set(p.stalls);
-  const turbine::EngineStats& e = r.engine_stats;
-  m.counter("engine.rules_created").set(e.rules_created);
-  m.counter("engine.rules_fired").set(e.rules_fired);
-  m.counter("engine.rules_fired_immediately").set(e.rules_fired_immediately);
-  m.counter("engine.notifications").set(e.notifications);
-  m.counter("engine.subscribes").set(e.subscribes);
+  const auto publish = [&m](const auto& stats) {
+    for (const auto& f : stats.kFields) m.counter(f.name).set(stats.*f.field);
+  };
+  publish(r.server_stats);
+  publish(r.cache_stats);
+  publish(r.pipeline_stats);
+  publish(r.engine_stats);
+  publish(r.worker_stats);
+  publish(r.tcl_stats);
   m.counter("engine.stuck_rules").set(r.stuck.size());
-  const turbine::WorkerStats& w = r.worker_stats;
-  m.counter("worker.tasks").set(w.tasks);
-  m.counter("worker.python_evals").set(w.python_evals);
-  m.counter("worker.r_evals").set(w.r_evals);
-  m.counter("worker.app_execs").set(w.app_execs);
-  m.counter("worker.interpreter_resets").set(w.interpreter_resets);
-  const tcl::Interp::CompileStats& t = r.tcl_stats;
-  m.counter("tcl.compile_hits").set(t.hits);
-  m.counter("tcl.compile_misses").set(t.misses);
-  m.counter("tcl.compile_bailouts").set(t.bailouts);
   m.counter("tcl.units_cached").set(r.tcl_units_cached);
   m.counter("mpi.messages").set(r.traffic.messages);
   m.counter("mpi.bytes").set(r.traffic.bytes);
@@ -270,25 +133,114 @@ void publish_metrics(const RunResult& r) {
   m.gauge("run.elapsed_seconds").set(r.elapsed_seconds);
 }
 
+namespace {
+
 // End-of-run aggregation: fill the registry and, when ILPS_TRACE asked
 // for files, write trace.json / metrics.json into obs::output_dir().
 void finish_observability(const Config& cfg, const RunResult& result) {
-  if (obs::metrics_enabled()) publish_metrics(result);
+  publish_metrics(result);
   if (obs::export_requested() && !result.trace.empty()) {
     obs::write_reports(result.trace, role_names(cfg), obs::metrics(), obs::output_dir());
   }
 }
 
-// Formats the merged stuck-future report for DeadlockError::what().
-std::string stuck_message(const RunResult& r) {
+// The quiescence check's teeth: a deadlocked program fails with a typed,
+// readable report instead of returning a silently useless result.
+void throw_if_stuck(const Config& cfg, const RunResult& result) {
+  if (cfg.deadlock_error && result.unfired_rules > 0) {
+    throw DeadlockError(deadlock_message("program", result.unfired_rules, result.stuck));
+  }
+}
+
+// Appends the world's merged event trace (empty unless tracing is on).
+void append_trace(const mpi::World& world, std::vector<obs::Event>& trace) {
+  if (const obs::Session* session = world.obs_session()) {
+    std::vector<obs::Event> events = session->merged();
+    trace.insert(trace.end(), events.begin(), events.end());
+  }
+}
+
+}  // namespace
+
+RunResult run_world(mpi::World& world, const WorldPlan& plan) {
+  const Config& cfg = plan.cfg;
+  if (cfg.engines < 1) throw Error("runtime: at least one engine rank is required");
+  if (cfg.workers < 1) throw Error("runtime: at least one worker rank is required");
+  if (cfg.servers < 1) throw Error("runtime: at least one server rank is required");
+  // The swift:main convention (see run_program): load everywhere, run once.
+  const bool has_main = plan.program.find("proc swift:main") != std::string_view::npos;
+  const int ingress_rank = plan.ingress ? cfg.engines + cfg.workers : -1;
+
+  WorldTotals totals(cfg.echo_output);
+  turbine::ContextConfig ccfg;
+  ccfg.policy = cfg.policy;
+  ccfg.restricted_os = cfg.restricted_os;
+  ccfg.setup_interp = cfg.setup_interp;
+  ccfg.setup_bindings = cfg.setup_bindings;
+  ccfg.serve_complete = plan.complete;
+  if (plan.output) {
+    ccfg.output = plan.output;
+  } else {
+    ccfg.output = [&totals](int64_t, int, const std::string& text) { totals.emit(text); };
+  }
+
+  auto body = [&](mpi::Comm& comm) {
+    const int rank = comm.rank();
+    if (adlb::is_server(rank, comm.size(), plan.adlb)) {
+      adlb::Server server(comm, plan.adlb, plan.restore);
+      server.serve();
+      totals.add(server.stats());
+      return;
+    }
+    adlb::Client client(comm, plan.adlb);
+    if (rank == ingress_rank) {
+      plan.ingress(client);
+      totals.add(client);
+      return;
+    }
+    if (rank >= cfg.engines) {
+      turbine::Context ctx(client, nullptr, ccfg);
+      if (has_main) ctx.interp().eval(plan.program);
+      ctx.run_worker();
+      totals.add(client, &ctx);
+      return;
+    }
+    turbine::Engine engine(client);
+    turbine::Context ctx(client, &engine, ccfg);
+    std::string to_run;
+    if (has_main) {
+      ctx.interp().eval(plan.program);
+      if (rank == 0) to_run = "swift:main";
+    } else if (rank == 0) {
+      to_run = plan.program;
+    }
+    const size_t unfired = ctx.run_engine(to_run);
+    totals.add(client, &ctx, &engine, unfired);
+  };
+  try {
+    world.run(body);
+  } catch (const CommError& e) {
+    // Servers signal unrecoverable conditions by aborting the world with
+    // a marker; classify the resulting CommError into the typed errors
+    // callers (and the recovery driver) key off.
+    const std::string msg = e.what();
+    if (msg.find("ilps-ft-restart:") != std::string::npos) throw RestartError(msg);
+    if (msg.find("ilps-task-failed:") != std::string::npos) throw TaskError(msg);
+    throw;
+  }
+  return totals.take(world);
+}
+
+std::string deadlock_message(const std::string& subject, uint64_t unfired_rules,
+                             const std::vector<turbine::StuckRule>& stuck) {
   std::ostringstream out;
-  out << "deadlock: program terminated with " << r.unfired_rules
+  out << "deadlock: " << subject << " terminated with " << unfired_rules
       << " rule(s) still waiting on unset futures";
   constexpr size_t kMaxShown = 8;
   size_t shown = 0;
-  for (const auto& rule : r.stuck) {
+  for (const auto& rule : stuck) {
     if (shown++ == kMaxShown) {
-      out << "\n  ... and " << (r.stuck.size() - kMaxShown) << " more rule(s)";
+      out << "\n  ... and " << (stuck.size() - kMaxShown) << " more rule(s)";
       break;
     }
     out << "\n  rule <" << rule.id << "> waiting on";
@@ -307,16 +259,6 @@ std::string stuck_message(const RunResult& r) {
   return out.str();
 }
 
-// The quiescence check's teeth: a deadlocked program fails with a typed,
-// readable report instead of returning a silently useless result.
-void throw_if_stuck(const Config& cfg, const RunResult& result) {
-  if (cfg.deadlock_error && result.unfired_rules > 0) {
-    throw DeadlockError(stuck_message(result));
-  }
-}
-
-}  // namespace
-
 std::vector<std::string> role_names(const Config& cfg) {
   std::vector<std::string> roles;
   roles.reserve(static_cast<size_t>(cfg.total_ranks()));
@@ -326,55 +268,44 @@ std::vector<std::string> role_names(const Config& cfg) {
   return roles;
 }
 
-RunResult run_program(const Config& cfg, const std::string& program) {
-  // The world body moved to the serve runtime (src/serve), which reuses
-  // it for batch runs; semantics, output, and stats are unchanged.
-  RunResult result = serve::Service::run_batch(cfg, program);
-  finish_observability(cfg, result);
-  throw_if_stuck(cfg, result);
-  return result;
-}
+namespace {
 
-RunResult run_with_faults(const Config& cfg, const std::string& program) {
-  if (cfg.ckpt_interval > 0 && cfg.servers != 1) {
-    throw Error("runtime: checkpointing requires exactly one server rank");
-  }
-  if (cfg.ckpt_interval > 0 && cfg.ckpt_dir.empty()) {
-    throw Error("runtime: ckpt_interval is set but ckpt_dir is empty");
-  }
-  mpi::FaultPlan remaining = cfg.fault_plan;
+// The batch and fault-tolerant driver: runs the plan until an attempt
+// completes. Only a fault-tolerant run restarts (from the latest
+// checkpoint in cfg.ckpt_dir) after a RestartError.
+RunResult drive(const Config& cfg, const std::string& program, bool ft) {
+  WorldPlan plan(cfg);
+  plan.adlb.ft = ft;
+  plan.program = program;
+  mpi::FaultPlan remaining = ft ? cfg.fault_plan : mpi::FaultPlan{};
   std::vector<int> all_dead;
-  std::vector<obs::Event> prior_trace;  // events of failed attempts
+  // Every attempt's events: attempts run sequentially on one wtime()
+  // epoch, so appending keeps the merged trace time-ordered.
+  std::vector<obs::Event> trace;
   int attempts = 0;
   while (true) {
     ++attempts;
     mpi::World world(cfg.total_ranks());
-    world.set_fault_plan(remaining);
+    if (ft) world.set_fault_plan(remaining);
     std::optional<ckpt::Snapshot> snap;
-    if (!cfg.ckpt_dir.empty()) snap = ckpt::load_latest(cfg.ckpt_dir);
+    if (ft && !cfg.ckpt_dir.empty()) snap = ckpt::load_latest(cfg.ckpt_dir);
+    plan.restore = snap ? &*snap : nullptr;
     try {
-      RunResult result = run_ft_attempt(cfg, program, world, snap ? &*snap : nullptr);
+      RunResult result = run_world(world, plan);
       for (int r : world.dead_ranks()) all_dead.push_back(r);
+      append_trace(world, trace);
       result.ft.attempts = attempts;
       result.ft.dead_ranks = std::move(all_dead);
-      if (!prior_trace.empty()) {
-        // Attempts run sequentially on one wtime() epoch, so prepending
-        // keeps the merged trace time-ordered.
-        prior_trace.insert(prior_trace.end(), result.trace.begin(), result.trace.end());
-        result.trace = std::move(prior_trace);
-      }
+      result.trace = std::move(trace);
       finish_observability(cfg, result);
       throw_if_stuck(cfg, result);
       return result;
     } catch (const RestartError& e) {
       for (int r : world.dead_ranks()) all_dead.push_back(r);
-      // run_program_impl rethrows after World::run joined every rank
-      // thread, so the failed attempt's buffers are safe to harvest.
-      if (const obs::Session* session = world.obs_session()) {
-        std::vector<obs::Event> events = session->merged();
-        prior_trace.insert(prior_trace.end(), events.begin(), events.end());
-      }
-      if (attempts > cfg.max_restarts) throw;
+      // run_world rethrows after World::run joined every rank thread, so
+      // the failed attempt's buffers are safe to harvest.
+      append_trace(world, trace);
+      if (!ft || attempts > cfg.max_restarts) throw;
       // The next attempt re-enters the rank loops, which re-resolve (or
       // cache) the same registered histograms. Reset their samples in
       // place — without this, the aborted attempt's task timings pollute
@@ -391,6 +322,22 @@ RunResult run_with_faults(const Config& cfg, const std::string& program) {
       log::info("runtime: restarting after failure (attempt ", attempts + 1, "): ", e.what());
     }
   }
+}
+
+}  // namespace
+
+RunResult run_program(const Config& cfg, const std::string& program) {
+  return drive(cfg, program, /*ft=*/false);
+}
+
+RunResult run_with_faults(const Config& cfg, const std::string& program) {
+  if (cfg.ckpt_interval > 0 && cfg.servers != 1) {
+    throw Error("runtime: checkpointing requires exactly one server rank");
+  }
+  if (cfg.ckpt_interval > 0 && cfg.ckpt_dir.empty()) {
+    throw Error("runtime: ckpt_interval is set but ckpt_dir is empty");
+  }
+  return drive(cfg, program, /*ft=*/true);
 }
 
 }  // namespace ilps::runtime

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adlb/client.h"
@@ -38,7 +39,6 @@ struct Config {
 
   // ADLB policy knobs (see adlb::Config; ablated in bench_ablation).
   bool steal_half = true;
-  bool priority_notifications = true;
   int data_cache_mb = -1;  // client datum cache budget; 0 disables, -1 = env
 
   // ---- fault tolerance (run_with_faults; see src/ckpt) ----
@@ -55,12 +55,19 @@ struct Config {
   int max_restarts = 3;          // restart-from-checkpoint budget
 
   int total_ranks() const { return engines + workers + servers; }
+  // The ADLB configuration for this layout. The recovery fields only take
+  // effect once `ft` is set, which run_with_faults does.
   adlb::Config adlb() const {
     adlb::Config cfg;
     cfg.nservers = servers;
+    cfg.nengines = engines;
     cfg.steal_half = steal_half;
-    cfg.priority_notifications = priority_notifications;
     cfg.data_cache_mb = data_cache_mb;
+    cfg.max_task_retries = max_task_retries;
+    cfg.retry_backoff_ms = retry_backoff_ms;
+    cfg.heartbeat_timeout_ms = heartbeat_timeout_ms;
+    cfg.ckpt_interval = ckpt_interval;
+    cfg.ckpt_dir = ckpt_dir;
     return cfg;
   }
 };
@@ -103,9 +110,43 @@ struct RunResult {
   // All output joined back together (convenience for tests).
   std::string output() const;
   bool contains(const std::string& needle) const;
-  // Arrival time of the first line containing `needle` (-1 if absent).
-  double time_of(const std::string& needle) const;
 };
+
+// What one world runs. Batch, fault-tolerant and resident runs differ
+// only in these fields; run_world builds every rank from them.
+struct WorldPlan {
+  explicit WorldPlan(const Config& c) : cfg(c), adlb(c.adlb()) {}
+
+  const Config& cfg;  // rank layout, interpreter policy and hooks
+  adlb::Config adlb;  // what the ADLB servers and clients run with
+  const ckpt::Snapshot* restore = nullptr;  // server state to restart from
+  std::string_view program;  // loaded as run_program describes; empty = none
+
+  // Output sink for every client rank. Unset, the world splits output
+  // into RunResult::lines (and echoes it under cfg.echo_output).
+  turbine::OutputFn output;
+
+  // ---- resident hooks (serve::Service) ----
+  // The loop of one more client rank, placed after the workers.
+  std::function<void(adlb::Client&)> ingress;
+  // Where engines report finished requests (ContextConfig::serve_complete).
+  std::function<void(turbine::RequestOutcome&&)> complete;
+};
+
+// Builds every rank of `world` (cfg.total_ranks() in size, plus one with
+// an ingress rank), runs them to termination, and returns their output,
+// unfired rules and every layer's counters summed over the ranks. A
+// server abort surfaces as RestartError or TaskError.
+RunResult run_world(mpi::World& world, const WorldPlan& plan);
+
+// Publishes every layer's counters in `r` into obs::metrics() under
+// stable dotted names (no-op while metrics are disabled).
+void publish_metrics(const RunResult& r);
+
+// The stuck-future report DeadlockError carries. `subject` names what
+// terminated: "program" for a batch run, "request <id>" for a request.
+std::string deadlock_message(const std::string& subject, uint64_t unfired_rules,
+                             const std::vector<turbine::StuckRule>& stuck);
 
 // Runs a Turbine (MiniTcl) program.
 //

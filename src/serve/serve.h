@@ -185,8 +185,8 @@ struct ServiceStats {
   uint64_t program_cache_hits = 0;
   uint64_t slow_requests = 0;    // latency >= ServeConfig::slow_request_seconds
   uint64_t traced_requests = 0;  // completed with a captured trace
-  // MiniTcl bytecode layer, harvested from every client rank's context at
-  // resident-world teardown (zeros while the world is still up).
+  // MiniTcl bytecode layer, summed over the client ranks in the totals
+  // the resident world leaves at teardown (zeros while it is still up).
   uint64_t tcl_compile_hits = 0;
   uint64_t tcl_compile_misses = 0;
   uint64_t tcl_compile_bailouts = 0;
@@ -235,16 +235,6 @@ class Service {
   std::vector<RequestResult> slow_exemplars() const;
 
   bool entered() const;
-
-  // ---- batch mode ----
-  // One-shot run through the serve rank bodies: builds the world, runs
-  // `program` exactly as the legacy runtime did (same output, stats, and
-  // error semantics), and tears the world down. runtime::run_program is a
-  // thin wrapper over this. The resident machinery (request namespaces,
-  // accounting, admission) stays dormant: a batch world has no ingress
-  // rank, so the rank layout and message traffic match the legacy runtime
-  // exactly.
-  static runtime::RunResult run_batch(const runtime::Config& cfg, const std::string& program);
 
  private:
   struct Impl;

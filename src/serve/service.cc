@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "adlb/client.h"
-#include "adlb/server.h"
 #include "common/sync.h"
 #include "common/timer.h"
 #include "mpi/comm.h"
@@ -20,7 +19,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "swift/compiler.h"
-#include "turbine/context.h"
 
 namespace ilps::serve {
 
@@ -59,11 +57,7 @@ class ProgramCache {
     const std::string ns = "p" + std::to_string(ns_id) + ":";
     auto prog = std::make_shared<CompiledProgram>();
     prog->tcl = swift::compile(source, ns);  // parse + verify + codegen
-    // The entry runs as a zero-input LOCAL rule on the owner engine, so
-    // every request's timeline has the same shape (begin -> rule fire ->
-    // tasks) even when the value pass leaves its program no rules of
-    // its own.
-    prog->entry = "turbine::rule {} " + ns + "swift:main type LOCAL";
+    prog->entry = ns + "swift:main";
     ilps::LockGuard lock(mu_);
     auto [it, inserted] = by_source_.emplace(source, prog);
     if (!inserted) {
@@ -117,34 +111,6 @@ struct Command {
   std::shared_ptr<RequestEntry> entry;                   // kSubmit
   std::shared_ptr<std::promise<uint64_t>> count;        // kCount
 };
-
-// Formats the per-request stuck-future report (the resident counterpart
-// of the runtime's batch deadlock message).
-std::string deadlock_message(int64_t req, const turbine::RequestOutcome& out) {
-  std::ostringstream s;
-  s << "deadlock: request <" << req << "> terminated with " << out.unfired_rules
-    << " rule(s) still waiting on unset futures";
-  constexpr size_t kMaxShown = 8;
-  size_t shown = 0;
-  for (const auto& rule : out.stuck) {
-    if (shown++ == kMaxShown) {
-      s << "\n  ... and " << (out.stuck.size() - kMaxShown) << " more rule(s)";
-      break;
-    }
-    s << "\n  rule <" << rule.id << "> waiting on";
-    if (rule.waiting.empty()) s << " unknown inputs";
-    for (const auto& input : rule.waiting) {
-      s << " ";
-      if (!input.name.empty()) {
-        s << "\"" << input.name << "\" (line " << input.line << ", datum <" << input.id << ">)";
-      } else {
-        s << "datum <" << input.id << ">";
-      }
-    }
-  }
-  s << "\n  hint: `ilps --lint` reports statically provable deadlocks";
-  return s.str();
-}
 
 // Digests a stitched (time-ordered) request trace into the critical-path
 // summary RequestResult carries: where the latency went and what the
@@ -240,20 +206,9 @@ class Hub {
   uint64_t slow ILPS_GUARDED_BY(mu) = 0;    // latency >= slow_threshold_
   uint64_t traced ILPS_GUARDED_BY(mu) = 0;  // completed with a captured trace
 
-  // MiniTcl bytecode-layer totals, deposited by each client rank when the
-  // resident world tears down (Context lifetime = world lifetime).
-  uint64_t tcl_hits ILPS_GUARDED_BY(mu) = 0;
-  uint64_t tcl_misses ILPS_GUARDED_BY(mu) = 0;
-  uint64_t tcl_bailouts ILPS_GUARDED_BY(mu) = 0;
-  uint64_t tcl_units ILPS_GUARDED_BY(mu) = 0;
-
-  void note_tcl(const tcl::Interp::CompileStats& cs, size_t units) {
-    ilps::LockGuard lock(mu);
-    tcl_hits += cs.hits;
-    tcl_misses += cs.misses;
-    tcl_bailouts += cs.bailouts;
-    tcl_units += units;
-  }
+  // Every layer's counters, left by the resident world at teardown
+  // (zeros while it is up).
+  runtime::RunResult totals ILPS_GUARDED_BY(mu);
 
   // Slow-request exemplar ring, oldest first (full results incl. trace).
   std::deque<RequestResult> exemplars ILPS_GUARDED_BY(mu);
@@ -273,10 +228,9 @@ class Hub {
     return sample_every_ > 0 && obs::trace_enabled() && id % sample_every_ == 0;
   }
 
-  // Per-request output sink for every client rank (installed as
-  // ContextConfig::serve_output). Splits fragments into lines on the
-  // request's own entry; output outside any request goes to stdout only
-  // under echo.
+  // Per-request output sink for every client rank (the world plan's
+  // output). Splits fragments into lines on the request's own entry;
+  // output outside any request goes to stdout only under echo.
   void emit(int64_t req, int rank, const std::string& text) {
     (void)rank;
     ilps::LockGuard lock(mu);
@@ -303,9 +257,11 @@ class Hub {
     std::shared_ptr<RequestEntry> e = std::move(it->second);
     inflight.erase(it);
     e->result.kind = out.kind;
-    e->result.error = out.kind == turbine::RequestErrorKind::kDeadlock
-                          ? deadlock_message(out.req, out)
-                          : std::move(out.error);
+    if (out.kind == turbine::RequestErrorKind::kDeadlock) {
+      out.error = runtime::deadlock_message("request <" + std::to_string(out.req) + ">",
+                                            out.unfired_rules, out.stuck);
+    }
+    e->result.error = std::move(out.error);
     e->result.unfired_rules = out.unfired_rules;
     e->result.stuck = std::move(out.stuck);
     e->result.leftover_data = out.leftover_data;
@@ -520,45 +476,16 @@ void Service::Impl::ingress_loop(adlb::Client& client) {
 
 void Service::Impl::run_world() {
   const runtime::Config& rc = cfg.runtime;
-  adlb::Config acfg = rc.adlb();
-  const int engines = rc.engines;
-  const int ingress_rank = rc.engines + rc.workers;
-
-  mpi::World world(ingress_rank + 1 + rc.servers);
   std::shared_ptr<Hub> h = hub;
-
-  auto body = [&](mpi::Comm& comm) {
-    if (adlb::is_server(comm.rank(), comm.size(), acfg)) {
-      adlb::Server server(comm, acfg, nullptr);
-      server.serve();
-      return;
-    }
-    adlb::Client client(comm, acfg);
-    if (comm.rank() == ingress_rank) {
-      ingress_loop(client);
-      return;
-    }
-    turbine::ContextConfig ccfg;
-    ccfg.policy = rc.policy;
-    ccfg.restricted_os = rc.restricted_os;
-    ccfg.setup_interp = rc.setup_interp;
-    ccfg.setup_bindings = rc.setup_bindings;
-    ccfg.serve_output = [h](int64_t req, int rank, const std::string& text) {
-      h->emit(req, rank, text);
-    };
-    if (comm.rank() < engines) {
-      turbine::Engine engine(client);
-      ccfg.serve_complete = [h](turbine::RequestOutcome&& out) { h->complete(std::move(out)); };
-      turbine::Context ctx(client, &engine, ccfg);
-      ctx.run_engine("");
-      h->note_tcl(ctx.interp().compile_stats(), ctx.units_cached());
-    } else {
-      turbine::Context ctx(client, nullptr, ccfg);
-      ctx.run_worker();
-      h->note_tcl(ctx.interp().compile_stats(), ctx.units_cached());
-    }
-  };
-  world.run(body);
+  runtime::WorldPlan plan(rc);
+  plan.output = [h](int64_t req, int rank, const std::string& text) { h->emit(req, rank, text); };
+  plan.ingress = [this](adlb::Client& client) { ingress_loop(client); };
+  plan.complete = [h](turbine::RequestOutcome&& out) { h->complete(std::move(out)); };
+  mpi::World world(rc.total_ranks() + 1);
+  runtime::RunResult totals = runtime::run_world(world, plan);
+  runtime::publish_metrics(totals);
+  ilps::LockGuard lock(h->mu);
+  h->totals = std::move(totals);
 }
 
 Service::Service(ServeConfig cfg) : impl_(std::make_unique<Impl>()) {
@@ -776,10 +703,10 @@ ServiceStats Service::stats() const {
     s.inflight = hub->inflight.size();
     s.slow_requests = hub->slow;
     s.traced_requests = hub->traced;
-    s.tcl_compile_hits = hub->tcl_hits;
-    s.tcl_compile_misses = hub->tcl_misses;
-    s.tcl_compile_bailouts = hub->tcl_bailouts;
-    s.tcl_units_cached = hub->tcl_units;
+    s.tcl_compile_hits = hub->totals.tcl_stats.hits;
+    s.tcl_compile_misses = hub->totals.tcl_stats.misses;
+    s.tcl_compile_bailouts = hub->totals.tcl_stats.bailouts;
+    s.tcl_units_cached = hub->totals.tcl_units_cached;
   }
   s.programs_compiled = impl_->cache.compiled();
   s.program_cache_hits = impl_->cache.hits();
@@ -797,37 +724,28 @@ std::string Service::status_json() const {
   // Snapshot the hub under its lock, then format and query the metrics
   // registry with the lock released (the telemetry flusher calls this
   // from its own thread; keep the lock scopes disjoint).
-  uint64_t admitted, rejected, shed, completed, failed, slow, traced, inflight;
-  uint64_t tcl_hits, tcl_misses, tcl_bailouts, tcl_units;
+  const ServiceStats st = stats();
   double uptime;
   std::shared_ptr<obs::TelemetryFlusher> flusher;
   {
     ilps::LockGuard lock(hub->mu);
-    admitted = hub->admitted;
-    rejected = hub->rejected;
-    shed = hub->shed;
-    completed = hub->completed;
-    failed = hub->failed;
-    slow = hub->slow;
-    traced = hub->traced;
-    inflight = hub->inflight.size();
-    tcl_hits = hub->tcl_hits;
-    tcl_misses = hub->tcl_misses;
-    tcl_bailouts = hub->tcl_bailouts;
-    tcl_units = hub->tcl_units;
     uptime = hub->clock.elapsed();
     flusher = hub->flusher;
   }
   std::ostringstream s;
   s << "{\"uptime_s\":" << obs::json_num(uptime);
-  s << ",\"inflight\":" << inflight;
-  s << ",\"admitted\":" << admitted << ",\"rejected\":" << rejected << ",\"shed\":" << shed;
-  s << ",\"completed\":" << completed << ",\"failed\":" << failed;
-  s << ",\"slow_requests\":" << slow << ",\"traced_requests\":" << traced;
-  s << ",\"programs_compiled\":" << impl_->cache.compiled();
-  s << ",\"program_cache_hits\":" << impl_->cache.hits();
-  s << ",\"tcl\":{\"compile_hits\":" << tcl_hits << ",\"compile_misses\":" << tcl_misses
-    << ",\"compile_bailouts\":" << tcl_bailouts << ",\"units_cached\":" << tcl_units << "}";
+  s << ",\"inflight\":" << st.inflight;
+  s << ",\"admitted\":" << st.admitted << ",\"rejected\":" << st.rejected
+    << ",\"shed\":" << st.shed;
+  s << ",\"completed\":" << st.completed << ",\"failed\":" << st.failed;
+  s << ",\"slow_requests\":" << st.slow_requests
+    << ",\"traced_requests\":" << st.traced_requests;
+  s << ",\"programs_compiled\":" << st.programs_compiled;
+  s << ",\"program_cache_hits\":" << st.program_cache_hits;
+  s << ",\"tcl\":{\"compile_hits\":" << st.tcl_compile_hits
+    << ",\"compile_misses\":" << st.tcl_compile_misses
+    << ",\"compile_bailouts\":" << st.tcl_compile_bailouts
+    << ",\"units_cached\":" << st.tcl_units_cached << "}";
   if (obs::metrics_enabled()) {
     // Rolling-window latency percentiles: what the service is doing *now*,
     // not since boot.
@@ -868,161 +786,6 @@ std::string Service::status_json() const {
   }
   s << "}";
   return s.str();
-}
-
-// ---- batch mode ----
-
-runtime::RunResult Service::run_batch(const runtime::Config& cfg, const std::string& program) {
-  // The one-shot counterpart of the resident world. This mirrors the
-  // legacy runtime loop exactly: no ingress rank, no request tagging, no
-  // admission — the program's datums live in namespace 0, errors
-  // propagate as exceptions, and termination is the plain quiescence
-  // detection, so existing programs keep their output, stats, and error
-  // semantics to the message.
-  const bool has_main = program.find("proc swift:main") != std::string::npos;
-  if (cfg.engines < 1) throw Error("runtime: at least one engine rank is required");
-  if (cfg.workers < 1) throw Error("runtime: at least one worker rank is required");
-  if (cfg.servers < 1) throw Error("runtime: at least one server rank is required");
-
-  adlb::Config acfg = cfg.adlb();
-
-  runtime::RunResult result;
-  ilps::Mutex mu;  // guards result + pending across rank threads
-  std::string pending;  // partial line accumulator across emits
-  Timer timer;
-
-  auto sink = [&](int rank, const std::string& text) {
-    (void)rank;
-    ilps::LockGuard lock(mu);
-    if (cfg.echo_output) std::fwrite(text.data(), 1, text.size(), stdout);
-    pending += text;
-    size_t pos;
-    while ((pos = pending.find('\n')) != std::string::npos) {
-      result.lines.push_back(pending.substr(0, pos));
-      result.line_times.push_back(timer.elapsed());
-      pending.erase(0, pos + 1);
-    }
-  };
-  auto body = [&](mpi::Comm& comm) {
-    if (adlb::is_server(comm.rank(), comm.size(), acfg)) {
-      adlb::Server server(comm, acfg, nullptr);
-      server.serve();
-      ilps::LockGuard lock(mu);
-      const adlb::ServerStats& s = server.stats();
-      result.server_stats.puts += s.puts;
-      result.server_stats.gets += s.gets;
-      result.server_stats.matches += s.matches;
-      result.server_stats.forwards += s.forwards;
-      result.server_stats.hungry_notices += s.hungry_notices;
-      result.server_stats.batches_sent += s.batches_sent;
-      result.server_stats.units_rebalanced += s.units_rebalanced;
-      result.server_stats.steal_batches += s.steal_batches;
-      result.server_stats.steal_batch_units += s.steal_batch_units;
-      result.server_stats.notifications += s.notifications;
-      result.server_stats.data_ops += s.data_ops;
-      result.server_stats.tokens += s.tokens;
-      result.server_stats.leftover_data += s.leftover_data;
-      result.server_stats.stuck_datums += s.stuck_datums;
-      result.server_stats.requeues += s.requeues;
-      result.server_stats.task_failures += s.task_failures;
-      result.server_stats.heartbeat_deaths += s.heartbeat_deaths;
-      result.server_stats.checkpoints += s.checkpoints;
-      result.server_stats.replay_skips += s.replay_skips;
-      return;
-    }
-
-    adlb::Client client(comm, acfg);
-    turbine::ContextConfig ccfg;
-    ccfg.policy = cfg.policy;
-    ccfg.restricted_os = cfg.restricted_os;
-    ccfg.output = sink;
-    ccfg.setup_interp = cfg.setup_interp;
-    ccfg.setup_bindings = cfg.setup_bindings;
-
-    if (comm.rank() < cfg.engines) {
-      turbine::Engine engine(client);
-      turbine::Context ctx(client, &engine, ccfg);
-      std::string to_run;
-      if (has_main) {
-        ctx.interp().eval(program);
-        if (comm.rank() == 0) to_run = "swift:main";
-      } else if (comm.rank() == 0) {
-        to_run = program;
-      }
-      size_t unfired = ctx.run_engine(to_run);
-      std::vector<turbine::StuckRule> stuck;
-      if (unfired > 0) {
-        stuck = engine.stuck_report();
-        for (const auto& rule : stuck) {
-          obs::instant(obs::EventKind::kRuleStuck, rule.id,
-                       static_cast<int64_t>(rule.waiting.size()));
-        }
-      }
-      ilps::LockGuard lock(mu);
-      result.unfired_rules += unfired;
-      for (auto& rule : stuck) result.stuck.push_back(std::move(rule));
-      const turbine::EngineStats& es = engine.stats();
-      result.engine_stats.rules_created += es.rules_created;
-      result.engine_stats.rules_fired += es.rules_fired;
-      result.engine_stats.rules_fired_immediately += es.rules_fired_immediately;
-      result.engine_stats.notifications += es.notifications;
-      result.engine_stats.subscribes += es.subscribes;
-      const turbine::WorkerStats& ws = ctx.stats();
-      result.worker_stats.tasks += ws.tasks;
-      result.worker_stats.python_evals += ws.python_evals;
-      result.worker_stats.r_evals += ws.r_evals;
-      result.worker_stats.app_execs += ws.app_execs;
-      result.worker_stats.interpreter_resets += ws.interpreter_resets;
-      result.cache_stats += client.cache_stats();
-      result.pipeline_stats += client.pipeline_stats();
-      const tcl::Interp::CompileStats& cs = ctx.interp().compile_stats();
-      result.tcl_stats.hits += cs.hits;
-      result.tcl_stats.misses += cs.misses;
-      result.tcl_stats.bailouts += cs.bailouts;
-      result.tcl_units_cached += ctx.units_cached();
-    } else {
-      turbine::Context ctx(client, nullptr, ccfg);
-      if (has_main) ctx.interp().eval(program);
-      ctx.run_worker();
-      ilps::LockGuard lock(mu);
-      const turbine::WorkerStats& ws = ctx.stats();
-      result.worker_stats.tasks += ws.tasks;
-      result.worker_stats.python_evals += ws.python_evals;
-      result.worker_stats.r_evals += ws.r_evals;
-      result.worker_stats.app_execs += ws.app_execs;
-      result.worker_stats.interpreter_resets += ws.interpreter_resets;
-      result.cache_stats += client.cache_stats();
-      result.pipeline_stats += client.pipeline_stats();
-      const tcl::Interp::CompileStats& cs = ctx.interp().compile_stats();
-      result.tcl_stats.hits += cs.hits;
-      result.tcl_stats.misses += cs.misses;
-      result.tcl_stats.bailouts += cs.bailouts;
-      result.tcl_units_cached += ctx.units_cached();
-    }
-  };
-  mpi::World world(cfg.total_ranks());
-  try {
-    world.run(body);
-  } catch (const CommError& e) {
-    // Servers signal unrecoverable conditions by aborting the world with
-    // a marker; classify the resulting CommError into the typed errors
-    // callers key off.
-    const std::string msg = e.what();
-    if (msg.find("ilps-ft-restart:") != std::string::npos) throw RestartError(msg);
-    if (msg.find("ilps-task-failed:") != std::string::npos) throw TaskError(msg);
-    throw;
-  }
-  result.elapsed_seconds = timer.elapsed();
-  result.traffic = world.stats();
-  if (const obs::Session* session = world.obs_session()) {
-    result.trace = session->merged();
-  }
-  if (!pending.empty()) {
-    result.lines.push_back(pending);
-    result.line_times.push_back(result.elapsed_seconds);
-    pending.clear();
-  }
-  return result;
 }
 
 }  // namespace ilps::serve

@@ -1031,12 +1031,14 @@ class Compiler {
 
     procs_ << "proc " << body_proc << " {" << s.name << cap_params << "} {\n"
            << inner.code.str() << iter_releases << "}\n";
-    procs_ << "proc " << split_proc << " {lo hi step" << cap_params << "} {\n"
-           << "  if {$step == 0} { error \"foreach: step must be nonzero\" }\n"
-           << "  for {set k $lo} {($step > 0 && $k <= $hi) || ($step < 0 && $k >= $hi)} "
-              "{incr k $step} {\n"
+    // The splitter's own locals start with ':', which no Swift identifier
+    // can, so they never shadow a captured variable in the same frame.
+    procs_ << "proc " << split_proc << " {:lo :hi :step" << cap_params << "} {\n"
+           << "  if {$:step == 0} { error \"foreach: step must be nonzero\" }\n"
+           << "  for {set :k $:lo} "
+              "{($:step > 0 && $:k <= $:hi) || ($:step < 0 && $:k >= $:hi)} {incr :k $:step} {\n"
            << iter_holds
-           << "    turbine::put_control [list " << body_proc << " $k" << cap_args << "]\n"
+           << "    turbine::put_control [list " << body_proc << " $:k" << cap_args << "]\n"
            << "  }\n"
            << iter_releases << "}\n";
 
@@ -1069,7 +1071,7 @@ class Compiler {
     open_body(inner, scopes_.size(), &captures, &writes, body.closed);
     scopes_.push_back({});
     declare(s.line, s.name, arr.type).is_value = true;
-    std::string key_param = s.name + "__key";
+    std::string key_param = ":key";  // unread; no Swift name can clash
     if (!s.index_name.empty()) {
       declare(s.line, s.index_name, arr.key_type).is_value = true;
       key_param = s.index_name;
@@ -1090,10 +1092,10 @@ class Compiler {
 
     procs_ << "proc " << body_proc << " {" << key_param << " " << s.name << cap_params
            << "} {\n" << inner.code.str() << iter_releases << "}\n";
-    procs_ << "proc " << split_proc << " {arr" << cap_params << "} {\n"
-           << "  foreach {k v} [turbine::enumerate $arr] {\n"
+    procs_ << "proc " << split_proc << " {:arr" << cap_params << "} {\n"
+           << "  foreach {:k :v} [turbine::enumerate $:arr] {\n"
            << iter_holds
-           << "    turbine::put_control [list " << body_proc << " $k $v" << cap_args << "]\n"
+           << "    turbine::put_control [list " << body_proc << " $:k $:v" << cap_args << "]\n"
            << "  }\n"
            << iter_releases << "}\n";
 

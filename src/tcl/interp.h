@@ -26,6 +26,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "tcl/value.h"
 
 namespace ilps::tcl {
@@ -159,6 +160,13 @@ class Interp {
     uint64_t hits = 0;      // cached-unit reuses (proc bodies, action cache)
     uint64_t misses = 0;    // units compiled
     uint64_t bailouts = 0;  // raw-source tail evaluations at exec time
+
+    static constexpr StatField<CompileStats> kFields[] = {
+        {"tcl.compile_hits", &CompileStats::hits},
+        {"tcl.compile_misses", &CompileStats::misses},
+        {"tcl.compile_bailouts", &CompileStats::bailouts},
+    };
+    CompileStats& operator+=(const CompileStats& o) { return add_stats(*this, o); }
   };
   // Defaults to on; ILPS_TCL_COMPILE=0 in the environment restores the
   // pure-interpreter path bit-for-bit.
@@ -175,11 +183,6 @@ class Interp {
   // ---- Introspection / instrumentation ----
   uint64_t commands_evaluated() const { return commands_evaluated_; }
   Rng& rng() { return rng_; }
-
-  // Host hook: arbitrary context a host embeds for its commands (the
-  // Turbine worker stores its task context here).
-  void set_host_data(void* p) { host_data_ = p; }
-  void* host_data() const { return host_data_; }
 
  private:
   friend class ExprParser;
@@ -250,7 +253,6 @@ class Interp {
   uint64_t commands_evaluated_ = 0;
   int depth_ = 0;
   Rng rng_{0x1234567};
-  void* host_data_ = nullptr;
 
   // Bytecode-layer state.
   bool compile_enabled_ = true;

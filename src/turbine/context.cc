@@ -103,10 +103,8 @@ std::string Context::exec_action(const std::string& script) {
 }
 
 void Context::emit(const std::string& line) {
-  if (cfg_.serve_output) {
-    cfg_.serve_output(cur_req_, client_.rank(), line);
-  } else if (cfg_.output) {
-    cfg_.output(client_.rank(), line);
+  if (cfg_.output) {
+    cfg_.output(cur_req_, client_.rank(), line);
   } else {
     std::fwrite(line.data(), 1, line.size(), stdout);
   }
@@ -554,12 +552,11 @@ size_t Context::run_engine(const std::string& main_script) {
     } else if ((unit->flags & adlb::kUnitReqBegin) != 0) {
       // A request seed: this engine becomes the owner, loads the compiled
       // program, and runs its entry script as the request's first unit.
+      // Like a batch run's swift:main, the entry is not counted as a task.
       engine_->begin_request(unit->req, unit->prog);
-      ++stats_.tasks;
       {
         obs::RequestScope rscope(unit->req);
         obs::instant(obs::EventKind::kReqBegin, unit->req);
-        obs::Span span(obs::EventKind::kTaskRun, unit->id);
         load_program(unit->prog);
         eval_for_request(unit->req, client_.rank(), unit->prog, unit->payload);
       }
@@ -638,7 +635,7 @@ void Context::run_worker() {
       // server for retry; under serve it fails only its own request;
       // otherwise it fails the run as before.
       end_task();
-      if (cfg_.ft) {
+      if (client_.config().ft) {
         client_.task_failed(*unit, e.what());
         account_busy();
         continue;

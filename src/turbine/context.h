@@ -19,6 +19,7 @@
 
 #include "adlb/client.h"
 #include "blob/blob.h"
+#include "common/stats.h"
 #include "python/interp.h"
 #include "rlang/interp.h"
 #include "tcl/interp.h"
@@ -34,16 +35,26 @@ struct WorkerStats {
   uint64_t r_evals = 0;
   uint64_t app_execs = 0;
   uint64_t interpreter_resets = 0;
+
+  static constexpr StatField<WorkerStats> kFields[] = {
+      {"worker.tasks", &WorkerStats::tasks},
+      {"worker.python_evals", &WorkerStats::python_evals},
+      {"worker.r_evals", &WorkerStats::r_evals},
+      {"worker.app_execs", &WorkerStats::app_execs},
+      {"worker.interpreter_resets", &WorkerStats::interpreter_resets},
+  };
+  WorkerStats& operator+=(const WorkerStats& o) { return add_stats(*this, o); }
 };
+
+// Sink for puts/printf/python-print/R-cat output: the request the
+// emitting task belongs to (0 = outside any request), the rank, the text.
+using OutputFn = std::function<void(int64_t req, int rank, const std::string& text)>;
 
 struct ContextConfig {
   InterpPolicy policy = InterpPolicy::kRetain;
   bool restricted_os = false;
-  // Fault tolerance: a worker whose leaf task throws reports it to the
-  // server (Op::kTaskFailed) for retry instead of failing the run.
-  bool ft = false;
-  // Sink for puts/printf/python-print/R-cat output (defaults to stdout).
-  std::function<void(int rank, const std::string& line)> output;
+  // Output sink (defaults to stdout).
+  OutputFn output;
   // Hook to register user packages / extra commands into the rank's
   // interpreter (static packages, script loaders, ...).
   std::function<void(tcl::Interp&)> setup_interp;
@@ -52,17 +63,13 @@ struct ContextConfig {
   // against the same registry blobutils uses.
   std::function<void(tcl::Interp&, blob::Registry&)> setup_bindings;
 
-  // ---- serve runtime hooks (src/serve; unset in legacy/batch use) ----
+  // ---- serve runtime hook (src/serve; unset in batch use) ----
   // Setting serve_complete switches the rank loops into resident mode:
   // engines multiplex per-request rule sets and report finished requests
   // through this callback (with namespace-GC counts filled in); workers
   // send done/fail notices instead of throwing, so one request's error
   // never poisons the resident runtime.
   std::function<void(RequestOutcome&&)> serve_complete;
-  // Per-request output sink: receives the request the emitting task
-  // belongs to (0 = output outside any request). Takes precedence over
-  // `output` when set.
-  std::function<void(int64_t req, int rank, const std::string& line)> serve_output;
 };
 
 class Context {
@@ -80,8 +87,6 @@ class Context {
   // libpython/libR lazily).
   py::Interpreter& python();
   r::Interpreter& rlang();
-  bool python_loaded() const { return python_ != nullptr; }
-  bool r_loaded() const { return rlang_ != nullptr; }
 
   // Applies the interpreter policy at a task boundary.
   void end_task();
@@ -95,7 +100,6 @@ class Context {
 
   // Live entries in the action-unit cache (bounded by capacity).
   size_t units_cached() const { return unit_lru_.size(); }
-  size_t unit_cache_capacity() const { return unit_cap_; }
 
   // ---- rank loops ----
 

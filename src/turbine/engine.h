@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "adlb/client.h"
+#include "common/stats.h"
 
 namespace ilps::turbine {
 
@@ -49,6 +50,15 @@ struct EngineStats {
   uint64_t rules_fired_immediately = 0;  // all inputs already closed
   uint64_t notifications = 0;
   uint64_t subscribes = 0;
+
+  static constexpr StatField<EngineStats> kFields[] = {
+      {"engine.rules_created", &EngineStats::rules_created},
+      {"engine.rules_fired", &EngineStats::rules_fired},
+      {"engine.rules_fired_immediately", &EngineStats::rules_fired_immediately},
+      {"engine.notifications", &EngineStats::notifications},
+      {"engine.subscribes", &EngineStats::subscribes},
+  };
+  EngineStats& operator+=(const EngineStats& o) { return add_stats(*this, o); }
 };
 
 // One unset datum a stuck rule is waiting on. `name`/`line` come from the
@@ -172,9 +182,6 @@ class Engine {
   // Builds the outcome and erases every trace of the request from the
   // engine (rules, watchers, closed-set, symbol map, notify credits).
   RequestOutcome finish_request(int64_t req);
-
-  // Number of requests with live trackers (diagnostics).
-  size_t inflight_requests() const { return requests_.size(); }
 
   // Program datum recorded by begin_request (0 if unknown/batch).
   int64_t request_prog(int64_t req) const {

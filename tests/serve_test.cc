@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/serve.h"
+#include "swift/compiler.h"
 #include "tcl/interp.h"
 
 namespace ilps::serve {
@@ -383,7 +384,12 @@ TEST(ServeTelemetry, TracedRequestCarriesStitchedCrossRankTrace) {
   cfg.trace_sample_every = 1;  // capture every request
   Service service(cfg);
   service.enter();
-  const RequestResult r = service.submit(R"(printf("t=%d", 6 * 7);)").get();
+  // A Tcl leaf whose output future feeds printf: one worker task, then
+  // one rule fire on the owner engine.
+  const RequestResult r = service
+                              .submit(R"((int o) lid (int i) [ "set <<o>> <<i>>" ];
+printf("t=%d", lid(6 * 7));)")
+                              .get();
   service.shutdown();
   ASSERT_EQ(r.lines.at(0), "t=42");
 
@@ -415,6 +421,22 @@ TEST(ServeTelemetry, TracedRequestCarriesStitchedCrossRankTrace) {
   EXPECT_GT(r.trace_summary.span_seconds, 0.0);
   EXPECT_LE(r.trace_summary.queue_seconds, r.trace_summary.span_seconds);
   EXPECT_EQ(service.stats().traced_requests, 1u);
+}
+
+TEST(ServeTelemetry, AllLiteralRequestFiresNoRule) {
+  // The value pass compiles an all-literal program to no rule at all, and
+  // the request's entry runs as itself, with no wrapper rule around it.
+  ObsOn on;
+  ServeConfig cfg = small_config();
+  cfg.trace_sample_every = 1;
+  Service service(cfg);
+  service.enter();
+  const RequestResult r = service.submit(R"(printf("t=%d", 6 * 7);)").get();
+  service.shutdown();
+  ASSERT_EQ(r.lines.at(0), "t=42");
+  ASSERT_FALSE(r.trace.empty());
+  EXPECT_EQ(r.trace_summary.rule_fires, 0u);
+  EXPECT_EQ(obs::metrics().counter("engine.rules_fired").value(), 0u);
 }
 
 TEST(ServeTelemetry, TraceSamplingCapturesEveryNth) {
@@ -540,18 +562,63 @@ TEST(ServeTelemetry, FlusherStreamsSnapshotsAndRequestTraces) {
   fs::remove_all(dir);
 }
 
-// Batch mode through the same module: run_batch must preserve the legacy
-// run_program semantics (runtime::run_program wraps it; the full existing
-// suite exercises that path — this is a direct smoke of the entry point).
+// Batch mode through the shared world body: runtime::run_program keeps the
+// legacy semantics (the full existing suite exercises that path — this is
+// a direct smoke of the entry point).
 TEST(Serve, RunBatchMatchesLegacySemantics) {
   runtime::Config cfg;
   cfg.engines = 1;
   cfg.workers = 2;
   cfg.servers = 1;
   runtime::RunResult r =
-      Service::run_batch(cfg, "proc swift:main {} { puts \"batch ok\" }\n");
+      runtime::run_program(cfg, "proc swift:main {} { puts \"batch ok\" }\n");
   EXPECT_TRUE(r.contains("batch ok"));
   EXPECT_EQ(r.unfired_rules, 0u);
+}
+
+// Batch, fault-tolerant and resident runs share one world body, so one
+// program prints the same lines and publishes the same counters in all
+// three.
+TEST(WorldParity, BatchFaultTolerantAndResidentRunsAgree) {
+  ObsOn on;
+  const std::string source = R"((int o) lid (int i) [ "set <<o>> <<i>>" ];
+int n = lid(3);
+foreach i in [0:n] {
+  printf("i=%d sq=%d", i, lid(i * i));
+})";
+  const std::vector<std::string> expected = {"i=0 sq=0", "i=1 sq=1", "i=2 sq=4", "i=3 sq=9"};
+  struct Counters {
+    uint64_t rules_created, rules_fired, tasks;
+    bool operator==(const Counters&) const = default;
+  };
+  const auto published = [] {
+    obs::Metrics& m = obs::metrics();
+    return Counters{m.counter("engine.rules_created").value(),
+                    m.counter("engine.rules_fired").value(), m.counter("worker.tasks").value()};
+  };
+  const auto sorted = [](std::vector<std::string> lines) {
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  const ServeConfig cfg = small_config();
+
+  const runtime::RunResult batch = runtime::run_program(cfg.runtime, swift::compile(source));
+  const Counters batch_counters = published();
+  EXPECT_EQ(sorted(batch.lines), expected);
+  EXPECT_GT(batch_counters.rules_created, 0u);
+  EXPECT_GT(batch_counters.tasks, 0u);
+
+  const runtime::RunResult ft = runtime::run_with_faults(cfg.runtime, swift::compile(source));
+  EXPECT_EQ(ft.ft.attempts, 1);
+  EXPECT_EQ(sorted(ft.lines), expected);
+  EXPECT_EQ(published(), batch_counters);
+
+  Service service(cfg);
+  service.enter();
+  const RequestResult r = service.submit(source).get();
+  service.shutdown();
+  EXPECT_EQ(sorted(r.lines), expected);
+  EXPECT_EQ(published(), batch_counters);
 }
 
 }  // namespace

@@ -698,6 +698,107 @@ TEST_P(ValueDifferential, ProgramsPrintWhatTheReferencePrints) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ValueDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
+// ---- foreach captures ----
+//
+// A loop's splitter proc runs in one Tcl frame with the Swift variables
+// the loop body captures, so no capture may be named like one of the
+// splitter's own locals (range loops: lo hi step k; array loops: arr k v).
+// Each name is captured by a plain loop and by a nested one, and the
+// output is checked against the reference evaluator.
+
+StP int_decl(const std::string& name, int64_t value) {
+  auto s = std::make_shared<St>();
+  s->k = St::kDecl;
+  s->name = name;
+  s->e = std::make_shared<Ex>();
+  s->e->lit.i = value;
+  return s;
+}
+
+StP int_print(const std::string& label, const std::vector<std::string>& vars) {
+  auto s = std::make_shared<St>();
+  s->k = St::kPrintf;
+  s->label = label;
+  for (const auto& v : vars) {
+    auto e = std::make_shared<Ex>();
+    e->k = Ex::kVar;
+    e->name = v;
+    s->args.push_back(e);
+  }
+  return s;
+}
+
+StP range_loop(const std::string& index, int64_t lo, int64_t hi, std::vector<StP> body) {
+  auto s = std::make_shared<St>();
+  s->k = St::kForeach;
+  s->name = index;
+  s->lo = int_decl("", lo)->e;
+  s->hi = int_decl("", hi)->e;
+  s->body = std::move(body);
+  return s;
+}
+
+// Renders the statement kinds the capture programs use.
+void render_capture_stmt(const St& s, std::ostringstream& out) {
+  switch (s.k) {
+    case St::kDecl:
+      out << "int " << s.name << " = " << render(*s.e) << ";\n";
+      return;
+    case St::kPrintf: {
+      std::string fmt = s.label;
+      for (size_t i = 0; i < s.args.size(); ++i) fmt += " %d";
+      out << "printf(" << swift_string(fmt);
+      for (const auto& a : s.args) out << ", " << render(*a);
+      out << ");\n";
+      return;
+    }
+    case St::kForeach:
+      out << "foreach " << s.name << " in [" << render(*s.lo) << ":" << render(*s.hi) << "] {\n";
+      for (const auto& b : s.body) render_capture_stmt(*b, out);
+      out << "}\n";
+      return;
+    default:
+      FAIL() << "unsupported statement";
+  }
+}
+
+TEST(ValueCaptures, CapturesNamedLikeSplitterLocalsKeepTheirValues) {
+  for (const std::string name : {"lo", "hi", "step", "k", "arr", "v"}) {
+    const std::vector<StP> main = {
+        int_decl(name, 5),
+        range_loop("i", 0, 3, {int_print("L", {"i", name})}),
+        range_loop("i", 0, 1, {range_loop("j", 1, 2, {int_print("N", {"i", "j", name})})}),
+    };
+    std::ostringstream source;
+    for (const auto& s : main) render_capture_stmt(*s, source);
+    std::vector<std::string> expected;
+    run_block(main, {}, expected);
+    ASSERT_EQ(expected.size(), 8u);
+    auto result = runtime::run_program(world(), compile(source.str()));
+    std::vector<std::string> lines = result.lines;
+    std::sort(lines.begin(), lines.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(lines, expected) << source.str();
+  }
+}
+
+TEST(ValueCaptures, ArrayLoopCapturesNamedLikeSplitterLocalsKeepTheirValues) {
+  auto result = runtime::run_program(world(), compile(R"(
+    int arr = 7; int k = 8; int v = 9; int lo = 1;
+    int A[]; A[0] = 10; A[1] = 20;
+    foreach x, j in A {
+      printf("j=%d x=%d arr=%d k=%d v=%d", j, x, arr, k, v);
+      foreach i in [lo:2] { printf("j=%d i=%d k=%d", j, i, k); }
+    }
+  )"));
+  std::vector<std::string> lines = result.lines;
+  std::sort(lines.begin(), lines.end());
+  const std::vector<std::string> expected = {
+      "j=0 i=1 k=8", "j=0 i=2 k=8", "j=0 x=10 arr=7 k=8 v=9",
+      "j=1 i=1 k=8", "j=1 i=2 k=8", "j=1 x=20 arr=7 k=8 v=9"};
+  EXPECT_EQ(lines, expected) << result.output();
+}
+
 TEST(ValueLowering, PromotedFloatsPrintAsFloats) {
   auto result = runtime::run_program(world(), compile(R"(
     float y = 3;
