@@ -5,13 +5,19 @@
 //    snapshot of 2^8..2^16 datums, written with header+CRC+atomic rename;
 //    the metric is ms per checkpoint and effective MB/s.
 //  - what does recovery cost as a function of WHERE the fault lands?
-//    A 400-leaf-task program is killed at its engine's Nth message;
-//    run_with_faults restarts from the newest checkpoint and replays only
-//    tasks that had not completed. Later faults mean more checkpointed
-//    progress, fewer replayed tasks, and recovery time that tracks the
-//    remaining (not the total) work.
+//    A 400-leaf-task program (20 waves of 20) is killed when its engine
+//    takes its Nth close notification (the Nth closed future, so about N
+//    tasks into the run); run_with_faults restarts from the newest
+//    checkpoint and replays only tasks that had not completed. Later
+//    faults mean more checkpointed progress, fewer replayed tasks, and
+//    recovery time that tracks the remaining (not the total) work.
+//  - what does fault tolerance cost when nothing fails? The same program
+//    run by run_program and by run_with_faults (no plan, no checkpoints):
+//    the ratio of their median times.
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "ckpt/ckpt.h"
@@ -50,9 +56,17 @@ ckpt::Snapshot snapshot_with(int records) {
   return s;
 }
 
-// N leaf tasks, each storing a deterministic integer; one engine-local
-// rule reports the sum so the output is a single stable line.
-std::string sum_program(int n) {
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// N leaf tasks in waves of W, each storing a deterministic integer; one
+// engine-local rule reports the sum so the output is a single stable line.
+// Each wave's rule is declared before its tasks are put and releases the
+// next wave, so the engine takes exactly one close notification per task
+// and its Nth unit lands about N tasks into the run.
+std::string wave_program(int n, int w) {
   std::string p;
   p += "proc task_val {i} { expr {($i * 37 + 11) % 100} }\n";
   p += "proc report {ids} {\n";
@@ -60,15 +74,24 @@ std::string sum_program(int n) {
   p += "  foreach x $ids { set sum [expr {$sum + [turbine::retrieve_integer $x]}] }\n";
   p += "  puts \"sum $sum of [llength $ids]\"\n";
   p += "}\n";
-  p += "proc swift:main {} {\n";
-  p += "  set ids [list]\n";
-  p += "  for {set i 0} {$i < " + std::to_string(n) + "} {incr i} {\n";
-  p += "    set x [turbine::allocate integer]\n";
-  p += "    lappend ids $x\n";
-  p += "    turbine::put_work \"turbine::store_integer $x \\[task_val $i\\]\"\n";
+  p += "proc wave {first ids} {\n";
+  p += "  set mine [list]\n";
+  p += "  for {set k 0} {$k < " + std::to_string(w) + "} {incr k} {\n";
+  p += "    lappend mine [turbine::allocate integer]\n";
   p += "  }\n";
-  p += "  turbine::rule $ids \"report [list $ids]\" type LOCAL\n";
+  p += "  set all [concat $ids $mine]\n";
+  p += "  set next [expr {$first + " + std::to_string(w) + "}]\n";
+  p += "  if {$next < " + std::to_string(n) + "} {\n";
+  p += "    turbine::rule $mine \"wave $next [list $all]\" type LOCAL\n";
+  p += "  } else {\n";
+  p += "    turbine::rule $mine \"report [list $all]\" type LOCAL\n";
+  p += "  }\n";
+  p += "  for {set k 0} {$k < " + std::to_string(w) + "} {incr k} {\n";
+  p += "    set x [lindex $mine $k]\n";
+  p += "    turbine::put_work \"turbine::store_integer $x \\[task_val [expr {$first + $k}]\\]\"\n";
+  p += "  }\n";
   p += "}\n";
+  p += "proc swift:main {} { wave 0 {} }\n";
   return p;
 }
 
@@ -114,24 +137,42 @@ int main() {
     cfg.engines = 1;
     cfg.workers = 4;
     cfg.servers = 1;
-    const std::string program = sum_program(tasks);
-    const double base = runtime::run_program(cfg, program).elapsed_seconds;
-    std::printf("\nfault-free baseline: %d tasks in %.3f s\n\n", tasks, base);
+    const std::string program = wave_program(tasks, 20);
+    // Fault-free cost of fault tolerance: the same program through both
+    // drivers, interleaved, median of kReps runs each.
+    constexpr int kReps = 21;
+    std::vector<double> plain_s;
+    std::vector<double> ft_s;
+    for (int i = 0; i < kReps; ++i) {
+      plain_s.push_back(runtime::run_program(cfg, program).elapsed_seconds);
+      ft_s.push_back(runtime::run_with_faults(cfg, program).elapsed_seconds);
+    }
+    const double base = median(plain_s);
+    const double ft_base = median(ft_s);
+    bench::JsonLine("faults_fault_free")
+        .add("tasks", tasks)
+        .add("runs", kReps)
+        .add("plain_s", base)
+        .add("ft_s", ft_base)
+        .add("ft_over_plain", ft_base / base)
+        .print();
+    std::printf("\nfault-free, %d tasks (median of %d): run_program %.4f s, "
+                "run_with_faults %.4f s, ratio %.2fx\n\n",
+                tasks, kReps, base, ft_base, ft_base / base);
 
-    // The engine spends two sends per leaf task it submits (create +
-    // put), so message #m lands ~m/2 tasks into the program.
-    bench::Table t({"fault_at_msg", "attempts", "ckpts", "replay_skips", "replayed",
+    // The engine's Nth unit is the Nth closed future (wave_program).
+    bench::Table t({"fault_at_unit", "attempts", "ckpts", "replay_skips", "replayed",
                     "elapsed_s", "vs_baseline"});
-    for (int at : {160, 320, 480, 640}) {
+    for (int at : {80, 160, 240, 320}) {
       fs::path dir = scratch_dir("recover-" + std::to_string(at));
       runtime::Config fcfg = cfg;
-      fcfg.fault_plan.kill_rank(/*rank=*/0, /*at_message=*/static_cast<uint64_t>(at));
+      fcfg.fault_plan.kill_rank(/*rank=*/0, /*at_unit=*/static_cast<uint64_t>(at));
       fcfg.ckpt_interval = 16;
       fcfg.ckpt_dir = dir.string();
       runtime::RunResult r = runtime::run_with_faults(fcfg, program);
       fs::remove_all(dir);
       bench::JsonLine("faults_recovery")
-          .add("fault_at_msg", at)
+          .add("fault_at_unit", at)
           .add("attempts", r.ft.attempts)
           .add("checkpoints", r.server_stats.checkpoints)
           .add("replay_skips", r.server_stats.replay_skips)

@@ -19,7 +19,10 @@ namespace fs = std::filesystem;
 namespace {
 
 // 200 deterministic leaf tasks, each storing a hit/miss bit; a single
-// engine-local rule reports the estimate once every future is closed.
+// engine-local rule reports the estimate once every future is closed. The
+// rule is declared before any task is put, so the engine takes exactly
+// one close notification per task: its Nth unit taken is the Nth closed
+// future, in every run.
 const char* kProgram = R"(
 proc pi_hit {i} {
   set a [expr {($i * 1103515245 + 12345) % 2048}]
@@ -40,11 +43,13 @@ proc swift:main {} {
   set n 200
   set ids [list]
   for {set i 0} {$i < $n} {incr i} {
-    set x [turbine::allocate integer]
-    lappend ids $x
-    turbine::put_work "turbine::store_integer $x \[pi_hit $i\]"
+    lappend ids [turbine::allocate integer]
   }
   turbine::rule $ids "pi_report [list $ids] $n" type LOCAL
+  for {set i 0} {$i < $n} {incr i} {
+    set x [lindex $ids $i]
+    turbine::put_work "turbine::store_integer $x \[pi_hit $i\]"
+  }
 }
 )";
 
@@ -62,20 +67,21 @@ int main() {
   const auto baseline = ilps::runtime::run_program(base_config(), kProgram);
   std::printf("fault-free:      %s\n", baseline.lines.empty() ? "?" : baseline.lines[0].c_str());
 
-  // Scenario 1: kill worker rank 2 at its 60th message (~its 30th task).
+  // Scenario 1: kill worker rank 2 when it takes its 10th task.
   ilps::runtime::Config kill_cfg = base_config();
-  kill_cfg.fault_plan.kill_rank(/*rank=*/2, /*at_message=*/60);
+  kill_cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/10);
   const auto killed = ilps::runtime::run_with_faults(kill_cfg, kProgram);
   std::printf("worker killed:   %s   (dead ranks: %zu, requeues: %llu)\n",
               killed.lines.empty() ? "?" : killed.lines[0].c_str(), killed.ft.dead_ranks.size(),
               static_cast<unsigned long long>(killed.server_stats.requeues));
 
-  // Scenario 2: kill the engine; recover from the newest checkpoint.
+  // Scenario 2: kill the engine at its 100th close notification (half
+  // the futures closed); recover from the newest checkpoint.
   const fs::path dir =
       fs::temp_directory_path() / ("ilps-example-ft-" + std::to_string(::getpid()));
   fs::remove_all(dir);
   ilps::runtime::Config restart_cfg = base_config();
-  restart_cfg.fault_plan.kill_rank(/*rank=*/0, /*at_message=*/250);
+  restart_cfg.fault_plan.kill_rank(/*rank=*/0, /*at_unit=*/100);
   restart_cfg.ckpt_interval = 10;
   restart_cfg.ckpt_dir = dir.string();
   const auto restarted = ilps::runtime::run_with_faults(restart_cfg, kProgram);

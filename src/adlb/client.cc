@@ -20,22 +20,13 @@ Client::Client(mpi::Comm& comm, const Config& cfg) : comm_(comm), cfg_(cfg) {
     throw CommError("adlb::Client constructed on a server rank");
   }
   home_ = home_server(comm.rank(), comm.size(), cfg);
-  // Batching changes how many transport messages an operation costs;
-  // under ft that would shift the FaultPlan's send-count triggers and the
-  // server's per-RPC liveness bookkeeping, so the fast paths switch off.
-  batching_ = !cfg_.ft && cfg_.put_batch > 1;
-  // Same reasoning for the write-behind datum pipeline: window 1 restores
-  // one blocking round-trip per op.
-  pipeline_window_ = (!cfg_.ft && cfg_.pipeline_window > 1) ? cfg_.pipeline_window : 1;
-  // The datum cache elides whole retrieve RPCs, so it switches off under
-  // ft for the same reason.
   long long mb = cfg_.data_cache_mb;
   if (mb < 0) {
     const char* env = std::getenv("ILPS_DATA_CACHE_MB");
     mb = (env != nullptr) ? std::atoll(env) : 64;
     if (mb < 0) mb = 0;
   }
-  cache_enabled_ = !cfg_.ft && mb > 0;
+  cache_enabled_ = mb > 0;
   cache_budget_ = cache_enabled_ ? static_cast<size_t>(mb) << 20 : 0;
 }
 
@@ -58,12 +49,6 @@ ser::Reader Client::rpc(int server, ser::Writer&& request) {
 
 // ---- write-behind datum pipeline ----
 
-namespace {
-// Sub-ops accumulated per owning server before a kDataBatch ships on its
-// own (any synchronous exchange also ships partial batches).
-constexpr uint32_t kDataBatchOps = 16;
-}  // namespace
-
 ser::Writer& Client::pipeline_writer(int server) {
   Pipe& p = pipes_[server];
   if (p.count == 0) {
@@ -84,8 +69,8 @@ void Client::pipeline_ship(int server) {
   if (p.count == 0) return;
   // Bounded outstanding window: past it, receive the oldest ack before
   // shipping more (the flow control that keeps in-flight buffers below
-  // the transport freelist cap and ft-style accounting sane).
-  if (p.unacked >= pipeline_window_) {
+  // the transport freelist cap).
+  if (p.unacked >= cfg_.pipeline_window) {
     ++pipeline_stats_.stalls;
     pipeline_drain_one(server);
   }
@@ -125,7 +110,7 @@ void Client::pipeline_drain(int server) {
   while (it->second.unacked > 0) pipeline_drain_one(server);
 }
 
-void Client::pipeline_sync() {
+void Client::sync() {
   pipeline_ship_all();
   for (auto& [server, p] : pipes_) {
     while (p.unacked > 0) pipeline_drain_one(server);
@@ -164,7 +149,7 @@ const Client::CacheEntry* Client::cache_lookup(int64_t id, EntryKind kind) {
   // FIFO) before trusting a hit — restoring the synchronous-mode
   // invariant that every received invalidation is applied before any
   // consult. No-op unless a shipped batch to that owner is unacked.
-  if (pipeline_window_ > 1) pipeline_drain(owner_server(id, comm_.size(), cfg_));
+  if (cfg_.pipeline_window > 1) pipeline_drain(owner_server(id, comm_.size(), cfg_));
   auto it = cache_.find(id);
   if (it == cache_.end()) return nullptr;
   if (it->second.kind != kind) return nullptr;
@@ -263,14 +248,14 @@ void Client::put(const WorkUnit& unit_in) {
   // keeps the batched fast path.
   const bool self_control =
       unit.req != 0 && unit.type == kTypeControl && unit.target == comm_.rank();
-  if (batching_ && (unit.target == kAnyRank || self_control)) {
+  if (unit.target == kAnyRank || self_control) {
     if (pending_put_count_ == 0) {
       pending_puts_ = comm_.writer();
       pending_puts_.put_u8(static_cast<uint8_t>(Op::kPutBatch));
       pending_puts_.put_u64(0);  // placeholder; count rides separately
     }
     write_work_unit(pending_puts_, unit);
-    if (++pending_put_count_ >= cfg_.put_batch) flush_puts();
+    if (++pending_put_count_ >= kPutBatchUnits) flush_puts();
     return;
   }
   ser::Writer w = comm_.writer();
@@ -307,40 +292,44 @@ std::optional<WorkUnit> Client::get(int type) {
   if (type < 0 || type >= cfg_.ntypes) {
     throw DataError("adlb: get with invalid work type " + std::to_string(type));
   }
-  if (!prefetched_.empty()) {
-    if (prefetched_.front().type == type) {
-      WorkUnit unit = std::move(prefetched_.front());
-      prefetched_.pop_front();
-      obs::instant(obs::EventKind::kAdlbGet, comm_.rank(), type);
-      return unit;
-    }
+  WorkUnit unit;
+  if (!prefetched_.empty() && prefetched_.front().type == type) {
+    unit = std::move(prefetched_.front());
+    prefetched_.pop_front();
+    obs::instant(obs::EventKind::kAdlbGet, comm_.rank(), type);
+  } else {
     flush_prefetch();
+    // A parked client must have nothing in flight anywhere — not just at
+    // its home server. An unprocessed kDataBatch sitting in another shard's
+    // mailbox is invisible to the token ring (client->server traffic is not
+    // counted), so parking with one outstanding could let the ring conclude
+    // termination while that batch still has notifications to spawn. Ship
+    // and drain everything before blocking.
+    sync();
+    ser::Writer w = comm_.writer();
+    w.put_u8(static_cast<uint8_t>(Op::kGet));
+    w.put_i32(type);
+    // The span covers the whole blocking exchange: its duration is this
+    // client's idle-waiting-for-work time.
+    obs::Span wait(obs::EventKind::kAdlbGetWait, type);
+    ser::Reader r = rpc(home_, std::move(w));
+    Op op = static_cast<Op>(r.get_u8());
+    if (op == Op::kShutdownClient) return std::nullopt;
+    if (op == Op::kError) raise_error(r);
+    if (op == Op::kGotWork) {
+      unit = read_work_unit(r);
+    } else if (op == Op::kGotWorkBatch) {
+      uint64_t n = r.get_u64();
+      unit = read_work_unit(r);
+      for (uint64_t i = 1; i < n; ++i) prefetched_.push_back(read_work_unit(r));
+    } else {
+      throw CommError("adlb: unexpected reply to Get");
+    }
   }
-  // A parked client must have nothing in flight anywhere — not just at
-  // its home server. An unprocessed kDataBatch sitting in another shard's
-  // mailbox is invisible to the token ring (client->server traffic is not
-  // counted), so parking with one outstanding could let the ring conclude
-  // termination while that batch still has notifications to spawn. Ship
-  // and drain everything before blocking.
-  pipeline_sync();
-  ser::Writer w = comm_.writer();
-  w.put_u8(static_cast<uint8_t>(Op::kGet));
-  w.put_i32(type);
-  // The span covers the whole blocking exchange: its duration is this
-  // client's idle-waiting-for-work time.
-  obs::Span wait(obs::EventKind::kAdlbGetWait, type);
-  ser::Reader r = rpc(home_, std::move(w));
-  Op op = static_cast<Op>(r.get_u8());
-  if (op == Op::kShutdownClient) return std::nullopt;
-  if (op == Op::kGotWork) return read_work_unit(r);
-  if (op == Op::kGotWorkBatch) {
-    uint64_t n = r.get_u64();
-    WorkUnit first = read_work_unit(r);
-    for (uint64_t i = 1; i < n; ++i) prefetched_.push_back(read_work_unit(r));
-    return first;
-  }
-  if (op == Op::kError) raise_error(r);
-  throw CommError("adlb: unexpected reply to Get");
+  // Every unit this rank takes ticks the FaultPlan clock, so a planned
+  // fault lands at the same logical point however frames are batched.
+  comm_.unit_taken();
+  return unit;
 }
 
 void Client::flush_prefetch() {
@@ -446,12 +435,6 @@ ser::SharedBytes Client::retrieve_view(int64_t id) {
 
 std::vector<std::string> Client::multi_retrieve(std::span<const int64_t> ids) {
   std::vector<std::string> out(ids.size());
-  if (cfg_.ft) {
-    // One transport message per operation (the FaultPlan's send-count
-    // triggers assume it): degrade to sequential single-id retrieves.
-    for (size_t i = 0; i < ids.size(); ++i) out[i] = retrieve(ids[i]);
-    return out;
-  }
   // Serve what the cache holds, then group the misses by owning server —
   // one RPC each (ordered so batch formation is deterministic).
   std::map<int, std::vector<size_t>> by_server;

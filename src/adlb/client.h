@@ -39,8 +39,7 @@ struct DataCacheStats {
 };
 
 // Activity counters for the write-behind datum pipeline (published as the
-// adlb.pipeline_* metrics). All zero when pipelining is off (window <= 1,
-// or ft).
+// adlb.pipeline_* metrics). All zero when pipelining is off (window <= 1).
 struct DataPipelineStats {
   uint64_t ops = 0;      // ack-only datum ops that were buffered
   uint64_t flushes = 0;  // kDataBatch messages shipped
@@ -98,12 +97,17 @@ class Client {
   ser::SharedBytes retrieve_view(int64_t id);
 
   // Retrieves several closed datums in one RPC per owning server (cache
-  // hits are served locally; under ft this degrades to per-id retrieves
-  // to keep one message per operation). Values return in input order.
+  // hits are served locally). Values return in input order.
   std::vector<std::string> multi_retrieve(std::span<const int64_t> ids);
 
   bool exists(int64_t id);
   DataType type_of(int64_t id);
+
+  // Ships every buffered datum op and waits for its ack, then throws the
+  // first deferred DataError, if any: the point where a write-behind
+  // failure surfaces. Get calls it before parking; a caller that must
+  // attribute failures to the work it just did calls it itself.
+  void sync();
 
   // Explicitly closes a datum (used for containers and void futures).
   void close(int64_t id);
@@ -195,8 +199,8 @@ class Client {
   // this rank, so neither task causality nor the termination detector's
   // "parked clients have nothing in flight" invariant ever observes a
   // buffered op. Batched server errors surface as a DataError thrown at
-  // the next synchronous boundary (rpc / flush_puts / get).
-  bool pipeline_active() const { return pipeline_window_ > 1 && serve_.req == 0; }
+  // the next synchronous boundary (rpc / flush_puts / sync).
+  bool pipeline_active() const { return cfg_.pipeline_window > 1 && serve_.req == 0; }
   // Returns the batch buffer for `server`, opening a new kDataBatch frame
   // if needed; the caller appends one sub-op then calls pipeline_note_op.
   ser::Writer& pipeline_writer(int server);
@@ -205,8 +209,6 @@ class Client {
   void pipeline_ship_all();
   void pipeline_drain_one(int server);  // consume one outstanding kAckBatch
   void pipeline_drain(int server);      // ... all of them for one server
-  void pipeline_sync();                 // ship + drain everywhere, then
-                                        // surface any deferred error
   void maybe_throw_deferred();
 
   // ---- cache internals ----
@@ -227,8 +229,7 @@ class Client {
   Config cfg_;
   int64_t next_local_id_ = 1;
 
-  // ---- fast-path batching state (unused under cfg_.ft) ----
-  bool batching_ = false;        // puts may be buffered
+  // ---- fast-path batching state ----
   int pending_put_count_ = 0;
   ser::Writer pending_puts_;     // serialized units, shipped as kPutBatch
   std::deque<WorkUnit> prefetched_;  // surplus units from kGotWorkBatch
@@ -240,7 +241,6 @@ class Client {
     uint32_t count = 0;  // sub-ops buffered in buf
     int unacked = 0;     // shipped batches whose kAckBatch is still due
   };
-  int pipeline_window_ = 1;               // effective window (1 = off)
   std::unordered_map<int, Pipe> pipes_;   // owning server rank -> state
   std::string deferred_error_;            // first batched failure, pending
   DataPipelineStats pipeline_stats_;

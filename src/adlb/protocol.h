@@ -36,6 +36,20 @@ inline constexpr int kAnyRank = -1;
 // any user work, so dataflow graphs keep unfolding ahead of leaf tasks.
 inline constexpr int kNotificationPriority = 1 << 20;
 
+// Fast-path batch sizes. Puts are buffered client-side and shipped as one
+// kPutBatch request of up to kPutBatchUnits units; the buffer is always
+// flushed before any other RPC, so a parked client still has nothing in
+// flight (the termination detector's invariant) and server-side ordering
+// is unchanged. A Get may be answered with up to kGetBatchUnits units of
+// the requested type in one kGotWorkBatch reply; the client runs them off
+// a local prefetch queue, skipping whole round trips per task. Datum
+// sub-ops accumulate per owning server up to kDataBatchOps before a
+// kDataBatch ships on its own (any synchronous exchange also ships
+// partial batches).
+inline constexpr int kPutBatchUnits = 16;
+inline constexpr int kGetBatchUnits = 4;
+inline constexpr uint32_t kDataBatchOps = 16;
+
 struct Config {
   int nservers = 1;
   int ntypes = 2;
@@ -43,18 +57,7 @@ struct Config {
   // steal-half) or a single unit. Ablated in bench_ablation.
   bool steal_half = true;
 
-  // ---- fast-path batching (disabled automatically under ft, whose
-  // send-counting fault triggers and per-RPC liveness bookkeeping assume
-  // one message per operation) ----
-  // Puts are buffered client-side and shipped as one kPutBatch request of
-  // up to this many units; the buffer is always flushed before any other
-  // RPC, so a parked client still has nothing in flight (the termination
-  // detector's invariant) and server-side ordering is unchanged.
-  int put_batch = 16;
-  // A Get may be answered with up to this many units of the requested
-  // type in one kGotWorkBatch reply; the client runs them off a local
-  // prefetch queue, skipping whole round trips per task.
-  int get_batch = 4;
+  // ---- write-behind datum pipeline ----
   // Ack-only datum ops (create/store/close/ref_incr/write_incr/insert) are
   // write-behind: buffered per owning server into kDataBatch requests and
   // shipped with up to this many unacked batches outstanding per server,
@@ -64,14 +67,12 @@ struct Config {
   // is drained before a Get parks the client (so the termination detector
   // never sees a parked client with an unprocessed batch in flight).
   // Server errors surface as DataError at the next synchronous boundary.
-  // <= 1 restores one blocking round-trip per op; forced to 1 under ft
-  // and for any op issued inside a serve request context (src/serve
-  // accounting consumes per-op ack payloads).
+  // <= 1 restores one blocking round-trip per op, as does any op issued
+  // inside a serve request context (src/serve accounting consumes per-op
+  // ack payloads).
   int pipeline_window = 8;
 
-  // ---- client-side datum cache (disabled automatically under ft, like
-  // the batching fast paths: a cache hit elides the retrieve RPC, which
-  // would shift the FaultPlan's send-count triggers) ----
+  // ---- client-side datum cache ----
   // Byte budget in MiB for the per-rank read-through cache of closed
   // datums. 0 disables the cache; -1 reads ILPS_DATA_CACHE_MB from the
   // environment (default 64 when unset). Coherence: a closed datum is
@@ -85,6 +86,8 @@ struct Config {
   // a dead client's unit (bounded by max_task_retries), treats replayed
   // data ops as idempotent, and — if ckpt_interval > 0 — checkpoints the
   // data store every ckpt_interval completed leaf tasks into ckpt_dir.
+  // Clients talk to the servers exactly as without ft: batching, the
+  // datum pipeline and the datum cache stay on.
   bool ft = false;
   int nengines = 1;              // client ranks < nengines are engines:
                                  // their death is unrecoverable in place

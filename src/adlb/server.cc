@@ -72,7 +72,7 @@ void Server::serve() {
       // loop asks for death notices (kTagFault) explicitly.
       m = comm_.recv_for(poll_s, mpi::ANY_SOURCE, mpi::ANY_TAG_OR_FAULT);
       if (flush_deferred()) activity = true;
-      if (heartbeats) check_heartbeats();
+      if (heartbeats && check_heartbeats()) activity = true;
     } else {
       m = comm_.recv(mpi::ANY_SOURCE, mpi::ANY_TAG_OR_FAULT);
     }
@@ -369,9 +369,11 @@ void Server::handle_get(int source, int type) {
     comm_.send(source, kTagResponse, std::move(w));
     return;
   }
-  // Batched delivery (never under ft: in-flight tracking and heartbeat
-  // bookkeeping assume one delivered unit per client at a time).
-  const int batch = (!cfg_.ft && cfg_.get_batch > 1) ? cfg_.get_batch : 1;
+  // Under ft a client holds one unit at a time: requeue must know exactly
+  // which unit a dead worker held, and re-running a prefetched unit that
+  // had already completed would repeat its write_incr and close a
+  // container early.
+  const int batch = cfg_.ft ? 1 : kGetBatchUnits;
   // Targeted work first (ADLB's matching order), then untargeted by
   // priority. Targeted units can only ever go to this client, so a batch
   // takes as many as the cap allows.
@@ -503,7 +505,8 @@ void Server::on_client_dead(int client) {
   }
 }
 
-void Server::check_heartbeats() {
+bool Server::check_heartbeats() {
+  bool declared = false;
   const double timeout = static_cast<double>(cfg_.heartbeat_timeout_ms) / 1000.0;
   const double now = comm_.wtime();
   for (int c : my_clients_) {
@@ -521,9 +524,11 @@ void Server::check_heartbeats() {
                    static_cast<int64_t>((now - it->second) * 1000.0));
       log::warn("adlb: client ", c, " silent beyond heartbeat timeout, declaring dead");
       on_client_dead(c);
-      if (done_) return;
+      declared = true;
+      if (done_) break;
     }
   }
+  return declared;
 }
 
 void Server::requeue_or_fail(WorkUnit unit, const std::string& why) {
@@ -677,16 +682,6 @@ void Server::send_batch(int peer, int type) {
 
 void Server::forward_unit(int dest, const WorkUnit& unit) {
   ++stats_.forwards;
-  if (cfg_.ft) {
-    // One message per unit: the FaultPlan's send-count triggers and the
-    // per-RPC liveness bookkeeping assume it.
-    ser::Writer w;
-    w.put_u8(static_cast<uint8_t>(Op::kForwardPut));
-    w.put_u64(1);
-    write_work_unit(w, unit);
-    send_basic(dest, w);
-    return;
-  }
   ForwardBatch& batch = forward_outbox_[dest];
   if (batch.n == 0) {
     batch.w = ser::Writer();
@@ -813,8 +808,8 @@ void Server::write_retrieve_result(ser::Writer& w, int source, int64_t id, const
   const bool cacheable = d.read_refs > 0;
   w.put_bool(cacheable);
   w.put_u64(epoch_of(id));
-  // Under ft clients never cache and nothing is GC'd (tombstones), so
-  // tracking handouts would only accumulate memory.
+  // Under ft nothing is GC'd (tombstones), so no invalidation can ever be
+  // owed and tracking handouts would only accumulate memory.
   if (cacheable && !cfg_.ft) handouts_[id].insert(source);
 }
 

@@ -129,7 +129,9 @@ class Server {
   void handle_task_failed(int source, ser::Reader& r);
   void on_rank_dead_notice(int rank);   // kTagFault arrived for `rank`
   void on_client_dead(int client);      // bookkeeping + requeue + abort checks
-  void check_heartbeats();
+  // Declares silent busy clients dead; true if it declared any (their
+  // requeued work may sit in the forward outbox until after_dispatch).
+  bool check_heartbeats();
   void requeue_or_fail(WorkUnit unit, const std::string& why);
   bool flush_deferred();                // requeue backoff expiries; true if any
   void note_completion(int client);     // client's in-flight unit finished
@@ -152,8 +154,8 @@ class Server {
   // unit to its home server).
   void accept_unit(WorkUnit unit);
   void deliver(int client, const WorkUnit& unit);
-  // One kGotWorkBatch reply carrying several units (fast path, never
-  // under ft).
+  // One kGotWorkBatch reply carrying several units (the Get fast path;
+  // under ft every client holds one unit at a time, see handle_get).
   void deliver_batch(int client, std::vector<WorkUnit>& units);
   void handle_get(int source, int type);
   void evaluate_hunger();
@@ -161,9 +163,7 @@ class Server {
   // Cross-server forwards (targeted relays, hungry-peer handoffs) are
   // coalesced per destination into one kForwardPut and flushed at the end
   // of the dispatch cycle — unit-at-a-time forwarding is the per-message
-  // cost the steal path used to pay. Under ft every forward goes out
-  // immediately (one message per unit, as the FaultPlan's send-count
-  // triggers assume).
+  // cost the steal path used to pay.
   void forward_unit(int dest, const WorkUnit& unit);
   void flush_forwards();
 
@@ -236,9 +236,9 @@ class Server {
   // finishes. Ids already refcount-GC'd are skipped at sweep time.
   std::unordered_map<int64_t, std::vector<int64_t>> req_index_;
 
-  // Client-cache coherence (inert when no client caches: handouts are
-  // only recorded for replies marked cacheable, and under ft nothing is
-  // ever GC'd so no invalidations arise).
+  // Client-cache coherence (handouts are only recorded for replies marked
+  // cacheable, and not under ft, where nothing is ever GC'd so no
+  // invalidations arise).
   std::unordered_map<int64_t, uint64_t> gc_epochs_;     // id -> deletions seen
   std::unordered_map<int64_t, std::set<int>> handouts_; // id -> clients holding bytes
   std::unordered_map<int, std::vector<std::pair<int64_t, uint64_t>>>

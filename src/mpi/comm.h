@@ -10,12 +10,12 @@
 //  - a rank that throws aborts the world, waking peers blocked in recv.
 //
 // Fault injection (src/ckpt's substrate): a World can carry a FaultPlan
-// that kills a rank at its Nth send, makes it hang, or drops/delays one
-// of its messages. A killed rank does NOT abort the world — its thread
-// exits, a death notice (kTagFault) is posted to every surviving mailbox,
-// and the upper layers (the ADLB server's heartbeat/requeue logic) are
-// expected to recover. This mirrors an MPI-ULFM/SCR failure model on the
-// thread-backed transport.
+// that kills a rank when it takes its Nth unit of work, makes it hang, or
+// drops/delays its next message. A killed rank does NOT abort the world —
+// its thread exits, a death notice (kTagFault) is posted to every
+// surviving mailbox, and the upper layers (the ADLB server's
+// heartbeat/requeue logic) are expected to recover. This mirrors an
+// MPI-ULFM/SCR failure model on the thread-backed transport.
 #pragma once
 
 #include <cstddef>
@@ -59,24 +59,31 @@ inline constexpr int ANY_TAG_OR_FAULT = -2;
 
 // ---- Fault injection ----
 
-// One scripted failure. `at_message` counts the victim rank's user-level
-// sends (1-based): the action fires when the rank is about to perform its
-// Nth Comm::send, before the message leaves.
+// One scripted failure. `at_unit` counts the units of work the victim
+// rank has taken (1-based, Comm::unit_taken): the action fires when the
+// rank takes its Nth unit, before it runs it. The clock is logical, so a
+// plan names the same point in the program however the transport batches
+// its frames and however the ranks share the work.
 struct FaultAction {
   enum class Kind : uint8_t {
-    kKillRank,      // the rank dies; the Nth message is never sent
-    kHangRank,      // the rank blocks (hung worker); released and killed
-                    // only when every other rank has finished
-    kDropMessage,   // the Nth message is silently lost; because every
-                    // client exchange is a synchronous RPC, the sender is
-                    // then doomed: its next blocking recv parks until the
-                    // world drains, then it dies (lost-request model)
-    kDelayMessage,  // the Nth message is delivered after delay_seconds
-                    // (the sender blocks, modelling a slow link)
+    kKillRank,      // the rank dies holding its Nth unit
+    kHangRank,      // the rank blocks holding its Nth unit (hung worker);
+                    // released and killed only when every other rank has
+                    // finished
+    kDropMessage,   // the rank's link is cut from its next send after its
+                    // Nth unit: that send and every later one are lost,
+                    // and its next blocking recv parks until the world
+                    // drains, then it dies (lost-request model; every
+                    // client exchange ends in a blocking recv)
+    kDelayMessage,  // the rank's next send after its Nth unit is delivered
+                    // after delay_seconds (the sender blocks, modelling a
+                    // slow link); if the run ends before its reply comes
+                    // (the server fenced the silent sender off), it dies
+                    // at drain like a dropped-message sender
   };
   Kind kind = Kind::kKillRank;
   int rank = -1;
-  uint64_t at_message = 0;
+  uint64_t at_unit = 0;
   double delay_seconds = 0.0;
 };
 
@@ -88,29 +95,28 @@ struct FaultPlan {
 
   bool empty() const { return actions.empty(); }
 
-  FaultPlan& kill_rank(int rank, uint64_t at_message) {
-    actions.push_back({FaultAction::Kind::kKillRank, rank, at_message, 0.0});
+  FaultPlan& kill_rank(int rank, uint64_t at_unit) {
+    actions.push_back({FaultAction::Kind::kKillRank, rank, at_unit, 0.0});
     return *this;
   }
-  FaultPlan& hang_rank(int rank, uint64_t at_message) {
-    actions.push_back({FaultAction::Kind::kHangRank, rank, at_message, 0.0});
+  FaultPlan& hang_rank(int rank, uint64_t at_unit) {
+    actions.push_back({FaultAction::Kind::kHangRank, rank, at_unit, 0.0});
     return *this;
   }
-  FaultPlan& drop_message(int rank, uint64_t at_message) {
-    actions.push_back({FaultAction::Kind::kDropMessage, rank, at_message, 0.0});
+  FaultPlan& drop_message(int rank, uint64_t at_unit) {
+    actions.push_back({FaultAction::Kind::kDropMessage, rank, at_unit, 0.0});
     return *this;
   }
-  FaultPlan& delay_message(int rank, uint64_t at_message, double delay_seconds) {
-    actions.push_back({FaultAction::Kind::kDelayMessage, rank, at_message, delay_seconds});
+  FaultPlan& delay_message(int rank, uint64_t at_unit, double delay_seconds) {
+    actions.push_back({FaultAction::Kind::kDelayMessage, rank, at_unit, delay_seconds});
     return *this;
   }
 
   // Deterministically scripted random kill: picks a victim in
-  // [first_rank, last_rank] and a message number in [lo_message,
-  // hi_message] from the seed (common/rng.h), so fault sweeps are
-  // reproducible.
-  static FaultPlan random_kill(uint64_t seed, int first_rank, int last_rank, uint64_t lo_message,
-                               uint64_t hi_message);
+  // [first_rank, last_rank] and a unit number in [lo_unit, hi_unit] from
+  // the seed (common/rng.h), so fault sweeps are reproducible.
+  static FaultPlan random_kill(uint64_t seed, int first_rank, int last_rank, uint64_t lo_unit,
+                               uint64_t hi_unit);
 };
 
 // Thrown inside a rank thread to terminate it under a FaultPlan.
@@ -211,6 +217,13 @@ class Comm {
   // Wall-clock seconds (MPI_Wtime analogue).
   double wtime() const;
 
+  // The FaultPlan trigger clock: records that this rank took one unit of
+  // work. adlb::Client::get calls it for every unit it returns; a program
+  // without ADLB calls it where its own unit of work begins. A kill or
+  // hang planned for this unit fires here (throwing RankKilled); a drop or
+  // delay arms for this rank's next send.
+  void unit_taken();
+
   // Signals all ranks that the program is being torn down abnormally.
   void abort(const std::string& why);
 
@@ -222,9 +235,17 @@ class Comm {
   // like the Comm itself — so the pool needs no lock.
   std::vector<std::byte> acquire_buffer();
 
+  // A drop or delay armed by unit_taken(), applied to the next send.
+  struct SendFault {
+    bool armed = false;
+    bool drop = false;
+    double delay_seconds = 0;
+  };
+
   World* world_;
   int rank_;
-  uint64_t sent_ = 0;  // user-level sends, the FaultPlan trigger counter
+  uint64_t units_taken_ = 0;  // the FaultPlan trigger clock
+  SendFault next_send_;
   std::vector<std::vector<std::byte>> pool_;  // recycled send/recv buffers
 };
 
@@ -289,13 +310,17 @@ class World {
   void abort(const std::string& why);
   bool aborted() const;
 
-  // FaultPlan machinery (world.cc). apply_fault returns false when the
-  // pending message must be dropped; it throws RankKilled for kill/hang.
-  bool apply_fault(int rank, uint64_t message_number);
+  // FaultPlan machinery (world.cc). fire_faults runs the actions planned
+  // for `rank`'s Nth unit: it throws RankKilled for kill/hang and arms
+  // drop/delay in `next_send`. apply_send_fault applies an armed drop or
+  // delay to the send in progress; it returns false when the message must
+  // be dropped.
+  void fire_faults(int rank, uint64_t unit, Comm::SendFault& next_send);
+  bool apply_send_fault(int rank, Comm::SendFault& next_send);
   void on_rank_dead(int rank);                          // notice + bookkeeping
   void finish_rank();
   void park_until_drained(int rank);  // hung/doomed ranks; throws RankKilled
-  bool doomed(int rank) const;
+  char send_fault_state(int rank) const;  // kDoomed / kCutOff / 0
 
   int size_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;

@@ -22,6 +22,12 @@ constexpr int kTagBcast = kMaxUserTag + 3;
 constexpr int kTagReduce = kMaxUserTag + 4;
 constexpr int kTagGather = kMaxUserTag + 5;
 
+// Per-rank send-fault state (WorldState::send_fault). A doomed rank's
+// blocking receives poll and give up once nothing can arrive; a cut-off
+// rank's next blocking receive parks until the world drains.
+constexpr char kDoomed = 1;
+constexpr char kCutOff = 2;
+
 // Send-buffer freelist cap, shared by the owner pool and the return box.
 constexpr size_t kMaxPooled = 64;
 
@@ -183,7 +189,9 @@ struct WorldState {
   FaultPlan plan;
   std::vector<std::unique_ptr<ilps::Atomic<bool>>> fired;  // parallel to plan.actions
   std::vector<char> dead;    // written by the dying thread, read after run()
-  std::vector<char> doomed;  // only the owning rank reads/writes its slot
+  // kDoomed / kCutOff per rank (see apply_send_fault); only the owning
+  // rank reads/writes its slot.
+  std::vector<char> send_fault;
   // Drain bookkeeping: hung/doomed ranks are released (and killed) once
   // every other rank has finished, so run() can always join its threads.
   ilps::Mutex fin_mutex;
@@ -219,7 +227,7 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
     state_->finished = 0;
     state_->parked_faulty = 0;
     state_->dead.assign(static_cast<size_t>(size_), 0);
-    state_->doomed.assign(static_cast<size_t>(size_), 0);
+    state_->send_fault.assign(static_cast<size_t>(size_), 0);
   }
   state_->bar.arrived.store(0);
   state_->bar.generation.store(0);
@@ -393,7 +401,9 @@ std::optional<Message> World::match_now(int self, int source, int tag) {
 
 Message World::wait_match(int self, int source, int tag) {
   Mailbox& box = *boxes_[static_cast<size_t>(self)];
-  const bool is_doomed = doomed(self);
+  const char fault = send_fault_state(self);
+  if (fault == kCutOff) park_until_drained(self);  // throws RankKilled
+  const bool is_doomed = fault == kDoomed;
   bool parked = false;
   while (true) {
     box.drain();
@@ -409,8 +419,10 @@ Message World::wait_match(int self, int source, int tag) {
                       ")");
     }
     if (is_doomed) {
-      // A doomed rank (its request was dropped) will never get a reply.
-      // Count it as parked so quiescent peers can drain, then kill it.
+      // A doomed rank (its request was delayed) may never get a reply.
+      // Count it as parked so quiescent peers can drain; a reply that
+      // does arrive is still taken above, and once every other rank has
+      // finished or parked, nothing can arrive: kill it.
       {
         ilps::LockGuard fl(state_->fin_mutex);
         if (!parked) {
@@ -623,18 +635,16 @@ std::vector<int> World::dead_ranks() const {
   return out;
 }
 
-bool World::doomed(int rank) const {
-  const auto& d = state_->doomed;
-  return static_cast<size_t>(rank) < d.size() && d[static_cast<size_t>(rank)] != 0;
+char World::send_fault_state(int rank) const {
+  const auto& d = state_->send_fault;
+  return static_cast<size_t>(rank) < d.size() ? d[static_cast<size_t>(rank)] : 0;
 }
 
-bool World::apply_fault(int rank, uint64_t message_number) {
+void World::fire_faults(int rank, uint64_t unit, Comm::SendFault& next_send) {
   auto& st = *state_;
-  if (st.plan.actions.empty()) return true;
-  bool deliver = true;
   for (size_t i = 0; i < st.plan.actions.size(); ++i) {
     const FaultAction& a = st.plan.actions[i];
-    if (a.rank != rank || a.at_message != message_number) continue;
+    if (a.rank != rank || a.at_unit != unit) continue;
     if (st.fired[i]->exchange(true)) continue;  // each action fires once
     switch (a.kind) {
       case FaultAction::Kind::kKillRank:
@@ -643,19 +653,35 @@ bool World::apply_fault(int rank, uint64_t message_number) {
         park_until_drained(rank);  // throws RankKilled when released
         break;
       case FaultAction::Kind::kDropMessage:
-        // The message is lost; since every client exchange is a
-        // synchronous RPC the sender can never make progress again.
-        if (static_cast<size_t>(rank) < st.doomed.size()) {
-          st.doomed[static_cast<size_t>(rank)] = 1;
-        }
-        deliver = false;
+        next_send.armed = true;
+        next_send.drop = true;
         break;
       case FaultAction::Kind::kDelayMessage:
-        std::this_thread::sleep_for(std::chrono::duration<double>(a.delay_seconds));
+        next_send.armed = true;
+        next_send.delay_seconds += a.delay_seconds;
         break;
     }
   }
-  return deliver;
+}
+
+bool World::apply_send_fault(int rank, Comm::SendFault& next_send) {
+  char& state = state_->send_fault.at(static_cast<size_t>(rank));
+  if (next_send.drop) {
+    // The link is cut: this send and every later one are lost (next_send
+    // stays armed), and the rank's next blocking recv parks until the
+    // world drains. A client never receives a reply it could mistake for
+    // the lost request's.
+    state = kCutOff;
+    return false;
+  }
+  // A delayed request may land after the server has fenced the silent
+  // sender off and the run has ended, so the reply may never come: the
+  // rank is doomed from here on (see wait_match).
+  const double delay = next_send.delay_seconds;
+  next_send = {};
+  state = kDoomed;
+  std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+  return true;
 }
 
 void World::on_rank_dead(int rank) {
@@ -698,12 +724,12 @@ void World::park_until_drained(int rank) {
 }
 
 FaultPlan FaultPlan::random_kill(uint64_t seed, int first_rank, int last_rank,
-                                 uint64_t lo_message, uint64_t hi_message) {
+                                 uint64_t lo_unit, uint64_t hi_unit) {
   Rng rng(seed);
   const int victim =
       first_rank + static_cast<int>(rng.next_below(
                        static_cast<uint64_t>(last_rank - first_rank + 1)));
-  const uint64_t at = lo_message + rng.next_below(hi_message - lo_message + 1);
+  const uint64_t at = lo_unit + rng.next_below(hi_unit - lo_unit + 1);
   FaultPlan plan;
   plan.kill_rank(victim, at);
   return plan;
@@ -725,8 +751,7 @@ void Comm::send(int dest, int tag, std::span<const std::byte> data) {
   if (tag < 0 || tag >= kMaxUserTag) {
     throw CommError("user tag out of range: " + std::to_string(tag));
   }
-  ++sent_;
-  if (!world_->apply_fault(rank_, sent_)) return;  // dropped message
+  if (next_send_.armed && !world_->apply_send_fault(rank_, next_send_)) return;  // dropped
   world_->post(rank_, dest, tag, data);
   obs::instant(obs::EventKind::kMpiSend, dest, static_cast<int64_t>(data.size()));
 }
@@ -735,11 +760,15 @@ void Comm::send(int dest, int tag, std::vector<std::byte>&& data) {
   if (tag < 0 || tag >= kMaxUserTag) {
     throw CommError("user tag out of range: " + std::to_string(tag));
   }
-  ++sent_;
   const size_t n = data.size();
-  if (!world_->apply_fault(rank_, sent_)) return;  // dropped message
+  if (next_send_.armed && !world_->apply_send_fault(rank_, next_send_)) return;  // dropped
   world_->post(rank_, dest, tag, std::move(data));
   obs::instant(obs::EventKind::kMpiSend, dest, static_cast<int64_t>(n));
+}
+
+void Comm::unit_taken() {
+  ++units_taken_;
+  if (!world_->state_->plan.empty()) world_->fire_faults(rank_, units_taken_, next_send_);
 }
 
 std::vector<std::byte> Comm::acquire_buffer() {

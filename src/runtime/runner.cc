@@ -279,6 +279,7 @@ RunResult drive(const Config& cfg, const std::string& program, bool ft) {
   plan.program = program;
   mpi::FaultPlan remaining = ft ? cfg.fault_plan : mpi::FaultPlan{};
   std::vector<int> all_dead;
+  int fired = 0;
   // Every attempt's events: attempts run sequentially on one wtime()
   // epoch, so appending keeps the merged trace time-ordered.
   std::vector<obs::Event> trace;
@@ -293,9 +294,11 @@ RunResult drive(const Config& cfg, const std::string& program, bool ft) {
     try {
       RunResult result = run_world(world, plan);
       for (int r : world.dead_ranks()) all_dead.push_back(r);
+      for (bool f : world.fault_fired()) fired += f ? 1 : 0;
       append_trace(world, trace);
       result.ft.attempts = attempts;
       result.ft.dead_ranks = std::move(all_dead);
+      result.ft.faults_fired = fired;
       result.trace = std::move(trace);
       finish_observability(cfg, result);
       throw_if_stuck(cfg, result);
@@ -313,10 +316,14 @@ RunResult drive(const Config& cfg, const std::string& program, bool ft) {
       // published by set() at end of run, so only histograms accumulate.
       if (obs::metrics_enabled()) obs::metrics().reset_histograms();
       // Consumed fault actions must not re-fire on the next attempt.
-      const std::vector<bool> fired = world.fault_fired();
+      const std::vector<bool> consumed = world.fault_fired();
       mpi::FaultPlan next;
       for (size_t i = 0; i < remaining.actions.size(); ++i) {
-        if (i >= fired.size() || !fired[i]) next.actions.push_back(remaining.actions[i]);
+        if (i < consumed.size() && consumed[i]) {
+          ++fired;
+        } else {
+          next.actions.push_back(remaining.actions[i]);
+        }
       }
       remaining = std::move(next);
       log::info("runtime: restarting after failure (attempt ", attempts + 1, "): ", e.what());

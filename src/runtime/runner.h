@@ -78,6 +78,7 @@ struct Config {
 struct FtStats {
   int attempts = 1;             // program attempts (1 = no restart needed)
   std::vector<int> dead_ranks;  // ranks that died, across all attempts
+  int faults_fired = 0;         // FaultPlan actions that fired, ditto
 };
 
 struct RunResult {

@@ -625,6 +625,10 @@ void Context::run_worker() {
         } else {
           exec_action(unit->payload);
         }
+        // A write-behind op that fails surfaces at the next sync point.
+        // Under ft, make that point inside this try, so the failure is
+        // this task's and goes back to the server for retry.
+        if (client_.config().ft) client_.sync();
       }
       const double took = ilps::wtime() - started;
       if (task_seconds != nullptr) task_seconds->record(took);

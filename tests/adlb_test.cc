@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "adlb/client.h"
@@ -417,12 +418,15 @@ TEST(AdlbData, PipelinedOpsVisibleAcrossClients) {
 
 // ---- property sweep: work conservation under random workloads ----
 
+// No padding: gtest names each case by printing the struct's raw bytes,
+// so padding would put uninitialized bytes into the test IDs.
 struct SweepParam {
   int nclients;
   int nservers;
-  int tasks_per_client;
+  int64_t tasks_per_client;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 class AdlbSweep : public ::testing::TestWithParam<SweepParam> {};
 

@@ -88,22 +88,26 @@ TEST(DatumCache, DisabledCacheZeroActivityIdenticalResults) {
   });
 }
 
-TEST(DatumCache, FtDisablesCacheButOpsStillWork) {
+// Fault tolerance is server-side recovery state, not a second client
+// data path: the cache, batched multi_retrieve and the write-behind
+// pipeline all stay on under ft.
+TEST(DatumCache, FtKeepsCacheAndBatchedRetrieve) {
   run(
       1, 1, 64,
       [](Client& c) {
-        EXPECT_FALSE(c.cache_enabled());  // ft wins over the budget
+        EXPECT_TRUE(c.cache_enabled());
         int64_t id = c.unique();
         c.create(id, DataType::kString);
         c.store(id, "ft-value");
         EXPECT_EQ(c.retrieve(id), "ft-value");
-        // multi_retrieve degrades to one RPC per id under ft.
         std::vector<int64_t> ids = {id, id, id};
         std::vector<std::string> vals = c.multi_retrieve(ids);
         ASSERT_EQ(vals.size(), 3u);
         for (const auto& v : vals) EXPECT_EQ(v, "ft-value");
-        EXPECT_EQ(c.cache_stats().hits, 0u);
-        EXPECT_EQ(c.cache_stats().misses, 0u);
+        // The single retrieve missed; the batch was served from the cache.
+        EXPECT_EQ(c.cache_stats().misses, 1u);
+        EXPECT_EQ(c.cache_stats().hits, 3u);
+        EXPECT_EQ(c.pipeline_stats().ops, 2u);  // the create and the store
         EXPECT_FALSE(c.get(kTypeWork).has_value());
       },
       [](Config& cfg) { cfg.ft = true; });

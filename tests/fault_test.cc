@@ -1,13 +1,17 @@
 // Fault-injection and recovery tests: scripted rank kills, hangs, and
-// dropped messages (mpi::FaultPlan) against the ADLB retry/heartbeat
-// machinery and checkpoint/restart (src/ckpt).
+// dropped or delayed messages (mpi::FaultPlan) against the ADLB
+// retry/heartbeat machinery and checkpoint/restart (src/ckpt). Plans
+// name a point by the units of work the victim has taken, so a fault
+// lands at the same place in the program in every run.
 #include <filesystem>
 
 #include <algorithm>
+#include <cstdio>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/runner.h"
@@ -32,8 +36,13 @@ struct TempDir {
 // Monte Carlo pi with deterministic per-task pseudo-random points: 200
 // leaf tasks each store a hit/miss bit; one engine-local rule prints the
 // estimate once every future is closed. All printing happens on the
-// engine, so retried leaf tasks cannot duplicate output.
-const char* kPiProgram = R"(
+// engine, so retried leaf tasks cannot duplicate output. The first 10
+// tasks per worker are targeted at it round-robin (worker ranks are
+// 1..workers), so every worker takes at least 10 units and a fault
+// planned for a worker's unit <= 10 always fires; the rest are
+// load-balanced.
+std::string pi_program(int workers) {
+  std::string p = R"(
 proc pi_hit {i} {
   set a [expr {($i * 1103515245 + 12345) % 2048}]
   set b [expr {($a * 1103515245 + 12345) % 2048}]
@@ -50,20 +59,34 @@ proc pi_report {ids n} {
   puts "pi-hits $hits of $n"
 }
 proc swift:main {} {
+  set workers WORKERS
   set n 200
   set ids [list]
   for {set i 0} {$i < $n} {incr i} {
     set x [turbine::allocate integer]
     lappend ids $x
-    turbine::put_work "turbine::store_integer $x \[pi_hit $i\]"
+    set task "turbine::store_integer $x \[pi_hit $i\]"
+    if {$i < 10 * $workers} {
+      turbine::put_work_to [expr {1 + $i % $workers}] $task
+    } else {
+      turbine::put_work $task
+    }
   }
   turbine::rule $ids "pi_report [list $ids] $n" type LOCAL
 }
 )";
+  p.replace(p.find("WORKERS"), 7, std::to_string(workers));
+  return p;
+}
 
 // Two phases of 20 leaf tasks; phase 2 is released only after every
-// phase-1 future closed. Killing the engine mid-phase-2 therefore
-// guarantees checkpoints (interval 5) cover at least all of phase 1.
+// phase-1 future closed. Each phase declares its rule before putting its
+// tasks, so the engine subscribes to every future while it is still open
+// and takes exactly 40 close notifications: its unit N is the same
+// logical point in every run. An engine killed as it takes its last
+// phase-1 notification (unit 20) dies before phase 2 exists, with every
+// phase-1 task finished: checkpoints (interval 5) hold most of phase 1 and
+// none of phase 2, whatever the timing.
 const char* kTwoPhaseProgram = R"(
 proc task_val {i} { expr {($i * 37 + 11) % 100} }
 proc report {ids} {
@@ -76,23 +99,30 @@ proc report {ids} {
 proc phase2 {ids1} {
   set ids2 [list]
   for {set i 20} {$i < 40} {incr i} {
-    set x [turbine::allocate integer]
-    lappend ids2 $x
-    turbine::put_work "turbine::store_integer $x \[task_val $i\]"
+    lappend ids2 [turbine::allocate integer]
   }
   set all [concat $ids1 $ids2]
   turbine::rule $all "report [list $all]" type LOCAL
+  for {set i 20} {$i < 40} {incr i} {
+    set x [lindex $ids2 [expr {$i - 20}]]
+    turbine::put_work "turbine::store_integer $x \[task_val $i\]"
+  }
 }
 proc swift:main {} {
   set ids1 [list]
   for {set i 0} {$i < 20} {incr i} {
-    set x [turbine::allocate integer]
-    lappend ids1 $x
-    turbine::put_work "turbine::store_integer $x \[task_val $i\]"
+    lappend ids1 [turbine::allocate integer]
   }
   turbine::rule $ids1 "phase2 [list $ids1]" type LOCAL
+  for {set i 0} {$i < 20} {incr i} {
+    set x [lindex $ids1 $i]
+    turbine::put_work "turbine::store_integer $x \[task_val $i\]"
+  }
 }
 )";
+
+// The engine's last phase-1 notification (see kTwoPhaseProgram).
+constexpr uint64_t kEngineEndOfPhase1 = 20;
 
 runtime::Config base_config() {
   runtime::Config cfg;
@@ -108,8 +138,9 @@ runtime::Config base_config() {
 
 TEST(Faults, NoFaultPlanMatchesPlainRun) {
   runtime::Config cfg = base_config();
-  auto plain = runtime::run_program(cfg, kPiProgram);
-  auto ft = runtime::run_with_faults(cfg, kPiProgram);
+  const std::string program = pi_program(cfg.workers);
+  auto plain = runtime::run_program(cfg, program);
+  auto ft = runtime::run_with_faults(cfg, program);
   EXPECT_EQ(ft.output(), plain.output());
   EXPECT_EQ(ft.ft.attempts, 1);
   EXPECT_TRUE(ft.ft.dead_ranks.empty());
@@ -120,15 +151,15 @@ TEST(Faults, NoFaultPlanMatchesPlainRun) {
 
 TEST(Faults, KillOneWorkerMidRunCompletesIdentically) {
   runtime::Config cfg = base_config();
-  auto baseline = runtime::run_program(cfg, kPiProgram);
+  const std::string program = pi_program(cfg.workers);
+  auto baseline = runtime::run_program(cfg, program);
   ASSERT_EQ(baseline.lines.size(), 1u);
 
-  // Worker ranks are 1..3. Each leaf task costs the worker two sends
-  // (Get request, then the store), so send #60 is the store of its task
-  // #30 — mid-run of its ~67-task share.
-  cfg.fault_plan.kill_rank(/*rank=*/2, /*at_message=*/60);
+  // Worker ranks are 1..3. Rank 2 dies holding its 10th unit — mid-run
+  // of its ~67-task share, and always reached (pi_program).
+  cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/10);
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, kPiProgram);
+  auto result = runtime::run_with_faults(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
   EXPECT_EQ(result.ft.attempts, 1);  // recovered in place, no restart
@@ -145,10 +176,9 @@ TEST(Faults, EngineRestartFromCheckpointSkipsFinishedTasks) {
   auto baseline = runtime::run_program(cfg, kTwoPhaseProgram);
   ASSERT_EQ(baseline.lines.size(), 1u);
 
-  // By engine send #75 every phase-1 task has finished (phase 2 only
-  // exists after their closes), so checkpoints at interval 5 hold at
-  // least 10 completed tasks when the engine dies.
-  cfg.fault_plan.kill_rank(/*rank=*/0, /*at_message=*/75);
+  // The engine dies before releasing phase 2, once every phase-1 task
+  // has finished, so checkpoints at interval 5 hold most of phase 1.
+  cfg.fault_plan.kill_rank(/*rank=*/0, kEngineEndOfPhase1);
   cfg.ckpt_interval = 5;
   cfg.ckpt_dir = dir.str();
   auto result = runtime::run_with_faults(cfg, kTwoPhaseProgram);
@@ -169,7 +199,7 @@ TEST(Faults, EngineRestartFromCheckpointSkipsFinishedTasks) {
 TEST(Faults, RestartDoesNotAccumulateMetricHistograms) {
   TempDir dir("restart-metrics");
   runtime::Config cfg = base_config();
-  cfg.fault_plan.kill_rank(/*rank=*/0, /*at_message=*/75);
+  cfg.fault_plan.kill_rank(/*rank=*/0, kEngineEndOfPhase1);
   cfg.ckpt_interval = 5;
   cfg.ckpt_dir = dir.str();
   obs::metrics().clear();
@@ -221,12 +251,13 @@ TEST(Faults, PlainRunWorkerErrorIsAttributed) {
 
 TEST(Faults, HungWorkerIsDetectedByHeartbeat) {
   runtime::Config cfg = base_config();
-  auto baseline = runtime::run_program(cfg, kPiProgram);
+  const std::string program = pi_program(cfg.workers);
+  auto baseline = runtime::run_program(cfg, program);
 
-  cfg.fault_plan.hang_rank(/*rank=*/3, /*at_message=*/20);
+  cfg.fault_plan.hang_rank(/*rank=*/3, /*at_unit=*/10);
   cfg.heartbeat_timeout_ms = 150;
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, kPiProgram);
+  auto result = runtime::run_with_faults(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
   EXPECT_EQ(result.ft.attempts, 1);
@@ -239,14 +270,58 @@ TEST(Faults, HungWorkerIsDetectedByHeartbeat) {
 
 TEST(Faults, DroppedMessageSenderIsRecovered) {
   runtime::Config cfg = base_config();
-  auto baseline = runtime::run_program(cfg, kPiProgram);
+  const std::string program = pi_program(cfg.workers);
+  auto baseline = runtime::run_program(cfg, program);
 
-  cfg.fault_plan.drop_message(/*rank=*/1, /*at_message=*/30);
+  // Rank 1's first send after taking its 10th unit ships that task's
+  // store; losing it cuts the rank off until the heartbeat requeues the
+  // task.
+  cfg.fault_plan.drop_message(/*rank=*/1, /*at_unit=*/10);
   cfg.heartbeat_timeout_ms = 150;
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, kPiProgram);
+  auto result = runtime::run_with_faults(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
+  EXPECT_GE(result.server_stats.heartbeat_deaths, 1u);
+}
+
+// A dropped send need not be a request the sender then waits on: here it
+// is a write-behind batch shipped mid-task (the 16th create fills it),
+// and the task's next call is a container lookup on the same server. The
+// link is cut at the drop, so the sender can never take that lookup's
+// reply for the lost batch's ack; it parks, and the heartbeat requeues
+// its task.
+TEST(Faults, DroppedMidTaskBatchSenderIsRecovered) {
+  runtime::Config cfg = base_config();
+  const std::string program = R"(
+proc task {in out} {
+  for {set k 0} {$k < 16} {incr k} { turbine::allocate integer }
+  turbine::store_integer $out [expr {[turbine::container_lookup $in k] + 1}]
+}
+proc report {outs} {
+  set sum 0
+  foreach x $outs { set sum [expr {$sum + [turbine::retrieve_integer $x]}] }
+  puts "sum $sum"
+}
+proc swift:main {} {
+  set in [turbine::allocate container]
+  turbine::container_insert $in k 41
+  turbine::close $in
+  set outs [list]
+  for {set i 0} {$i < 30} {incr i} { lappend outs [turbine::allocate integer] }
+  turbine::rule $outs "report [list $outs]" type LOCAL
+  for {set i 0} {$i < 30} {incr i} {
+    set task "task $in [lindex $outs $i]"
+    if {$i < 3} { turbine::put_work_to [expr {1 + $i}] $task } else { turbine::put_work $task }
+  }
+}
+)";
+  cfg.fault_plan.drop_message(/*rank=*/1, /*at_unit=*/1);
+  cfg.heartbeat_timeout_ms = 150;
+  auto result = runtime::run_with_faults(cfg, program);
+
+  EXPECT_EQ(result.output(), "sum 1260\n");
+  EXPECT_EQ(result.ft.faults_fired, 1);
   EXPECT_GE(result.server_stats.heartbeat_deaths, 1u);
 }
 
@@ -256,13 +331,14 @@ TEST(Faults, TokenRingTerminatesWithDeadRank) {
   runtime::Config cfg = base_config();
   cfg.workers = 4;
   cfg.servers = 2;
-  auto baseline = runtime::run_program(cfg, kPiProgram);
+  const std::string program = pi_program(cfg.workers);
+  auto baseline = runtime::run_program(cfg, program);
 
   // Ranks: engine 0, workers 1..4, servers 5..6. Kill a worker early so
   // the Safra ring must conclude with a permanently silent client.
-  cfg.fault_plan.kill_rank(/*rank=*/4, /*at_message=*/30);
+  cfg.fault_plan.kill_rank(/*rank=*/4, /*at_unit=*/5);
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, kPiProgram);
+  auto result = runtime::run_with_faults(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
   ASSERT_EQ(result.ft.dead_ranks.size(), 1u);
@@ -290,9 +366,9 @@ int64_t count_events(const std::vector<obs::Event>& trace, obs::EventKind k) {
 TEST(Faults, KilledRankEmitsRankDeadExactlyOnce) {
   TraceOn on;
   runtime::Config cfg = base_config();
-  cfg.fault_plan.kill_rank(/*rank=*/2, /*at_message=*/60);
+  cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/10);
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, kPiProgram);
+  auto result = runtime::run_with_faults(cfg, pi_program(cfg.workers));
 
   ASSERT_FALSE(result.trace.empty());
   // The dying rank emits rank_dead from its own thread at the moment the
@@ -315,10 +391,10 @@ TEST(Faults, KilledRankEmitsRankDeadExactlyOnce) {
 TEST(Faults, HeartbeatDeathIsTracedForHungWorker) {
   TraceOn on;
   runtime::Config cfg = base_config();
-  cfg.fault_plan.hang_rank(/*rank=*/3, /*at_message=*/20);
+  cfg.fault_plan.hang_rank(/*rank=*/3, /*at_unit=*/10);
   cfg.heartbeat_timeout_ms = 150;
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, kPiProgram);
+  auto result = runtime::run_with_faults(cfg, pi_program(cfg.workers));
 
   ASSERT_GE(result.server_stats.heartbeat_deaths, 1u);
   auto heartbeat = std::find_if(result.trace.begin(), result.trace.end(), [](const obs::Event& e) {
@@ -340,7 +416,7 @@ TEST(Faults, TraceSurvivesCheckpointRestart) {
   TraceOn on;
   TempDir dir("trace-restart");
   runtime::Config cfg = base_config();
-  cfg.fault_plan.kill_rank(/*rank=*/0, /*at_message=*/75);
+  cfg.fault_plan.kill_rank(/*rank=*/0, kEngineEndOfPhase1);
   cfg.ckpt_interval = 5;
   cfg.ckpt_dir = dir.str();
   auto result = runtime::run_with_faults(cfg, kTwoPhaseProgram);
@@ -363,9 +439,83 @@ TEST(Faults, RandomKillIsDeterministic) {
   auto b = mpi::FaultPlan::random_kill(1234, 1, 3, 10, 200);
   ASSERT_EQ(a.actions.size(), 1u);
   EXPECT_EQ(a.actions[0].rank, b.actions[0].rank);
-  EXPECT_EQ(a.actions[0].at_message, b.actions[0].at_message);
+  EXPECT_EQ(a.actions[0].at_unit, b.actions[0].at_unit);
   EXPECT_GE(a.actions[0].rank, 1);
   EXPECT_LE(a.actions[0].rank, 3);
-  EXPECT_GE(a.actions[0].at_message, 10u);
-  EXPECT_LE(a.actions[0].at_message, 200u);
+  EXPECT_GE(a.actions[0].at_unit, 10u);
+  EXPECT_LE(a.actions[0].at_unit, 200u);
+}
+
+// ---- deferred write-behind errors stay attributed to their task ----
+
+// The worker's store is write-behind, so the double assignment is only
+// reported when its batch is acked. Under ft the worker syncs inside the
+// task, so the failure is the task's: retried, then a TaskError naming
+// the task — not a bare DataError from the worker's next Get.
+TEST(Faults, DeferredStoreErrorFailsItsTask) {
+  runtime::Config cfg = base_config();
+  const std::string program = R"(
+set x [turbine::allocate integer]
+turbine::store_integer $x 1
+turbine::put_work "turbine::store_integer $x 2"
+)";
+  try {
+    runtime::run_with_faults(cfg, program);
+    FAIL() << "expected TaskError";
+  } catch (const TaskError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("retries exhausted"), std::string::npos) << what;
+    EXPECT_NE(what.find("task <"), std::string::npos) << what;
+    EXPECT_NE(what.find("already closed (double assignment)"), std::string::npos) << what;
+  }
+}
+
+// ---- seeded soak: every fault kind, many points, identical output ----
+
+// Seeded kills (FaultPlan::random_kill) over 200 seeds, then 20 seeds
+// each of hangs, drops and delays under the 150 ms heartbeat. Victims are
+// the three workers; the point is a unit in [1, 20], so at least the
+// first half of the range always fires (pi_program). Every run must print
+// exactly what the fault-free run prints.
+TEST(Faults, SeededSoakMatchesFaultFreeOutput) {
+  runtime::Config cfg = base_config();
+  const std::string program = pi_program(cfg.workers);
+  const std::string expected = runtime::run_program(cfg, program).output();
+  ASSERT_FALSE(expected.empty());
+  constexpr uint64_t kMaxUnit = 20;
+
+  int planned = 0;
+  int fired = 0;
+  const auto check = [&](const runtime::Config& c, const char* kind, uint64_t seed) {
+    const runtime::RunResult r = runtime::run_with_faults(c, program);
+    ++planned;
+    fired += r.ft.faults_fired;
+    EXPECT_EQ(r.output(), expected) << kind << " seed " << seed;
+    EXPECT_EQ(r.ft.attempts, 1) << kind << " seed " << seed;
+  };
+
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    runtime::Config c = cfg;
+    c.fault_plan = mpi::FaultPlan::random_kill(seed, 1, cfg.workers, 1, kMaxUnit);
+    check(c, "kill", seed);
+  }
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const int victim = 1 + static_cast<int>(rng.next_below(static_cast<uint64_t>(cfg.workers)));
+    const uint64_t at = 1 + rng.next_below(kMaxUnit);
+    runtime::Config c = cfg;
+    c.heartbeat_timeout_ms = 150;
+    c.fault_plan.hang_rank(victim, at);
+    check(c, "hang", seed);
+    c.fault_plan = {};
+    c.fault_plan.drop_message(victim, at);
+    check(c, "drop", seed);
+    // Delays from 0 to 300 ms: some within the heartbeat timeout (a slow
+    // link), some past it (the sender is declared dead and fenced off).
+    c.fault_plan = {};
+    c.fault_plan.delay_message(victim, at, static_cast<double>(rng.next_below(301)) / 1000.0);
+    check(c, "delay", seed);
+  }
+  std::printf("[ soak     ] %d of %d planned faults fired\n", fired, planned);
+  EXPECT_GE(fired, planned / 2);
 }

@@ -170,11 +170,12 @@ TEST(Matching, TimedRecvTimesOutThenCatchesLateMessage) {
 TEST(Matching, PlainWildcardRecvSkipsDeathNotice) {
   World w(3);
   FaultPlan plan;
-  plan.kill_rank(/*rank=*/1, /*at_message=*/1);
+  plan.kill_rank(/*rank=*/1, /*at_unit=*/1);
   w.set_fault_plan(std::move(plan));
   w.run([](Comm& c) {
     if (c.rank() == 1) {
-      c.send_str(0, 5, "never sent");  // dies here
+      c.unit_taken();  // dies here
+      c.send_str(0, 5, "never sent");
       return;
     }
     if (c.rank() == 2) {

@@ -578,7 +578,7 @@ TEST(Serve, RunBatchMatchesLegacySemantics) {
 
 // Batch, fault-tolerant and resident runs share one world body, so one
 // program prints the same lines and publishes the same counters in all
-// three.
+// three; batch and fault-tolerant runs also share the client data path.
 TEST(WorldParity, BatchFaultTolerantAndResidentRunsAgree) {
   ObsOn on;
   const std::string source = R"((int o) lid (int i) [ "set <<o>> <<i>>" ];
@@ -612,6 +612,11 @@ foreach i in [0:n] {
   EXPECT_EQ(ft.ft.attempts, 1);
   EXPECT_EQ(sorted(ft.lines), expected);
   EXPECT_EQ(published(), batch_counters);
+  // The ft run takes the batch run's client data path: the same ops go
+  // through the write-behind pipeline, and reads go through the cache.
+  EXPECT_GT(batch.pipeline_stats.ops, 0u);
+  EXPECT_EQ(ft.pipeline_stats.ops, batch.pipeline_stats.ops);
+  EXPECT_GT(ft.cache_stats.hits + ft.cache_stats.misses, 0u);
 
   Service service(cfg);
   service.enter();
