@@ -70,7 +70,7 @@ void Client::pipeline_ship(int server) {
   // Bounded outstanding window: past it, receive the oldest ack before
   // shipping more (the flow control that keeps in-flight buffers below
   // the transport freelist cap).
-  if (p.unacked >= cfg_.pipeline_window) {
+  if (p.unacked >= kDataPipelineWindow) {
     ++pipeline_stats_.stalls;
     pipeline_drain_one(server);
   }
@@ -97,6 +97,14 @@ void Client::pipeline_drain_one(int server) {
   apply_invalidations(r);
   Op op = static_cast<Op>(r.get_u8());
   if (op != Op::kAckBatch) throw CommError("adlb: expected AckBatch reply");
+  // Close notifications the batch queued back to this rank, per datum.
+  // sync() at the end of every request unit keeps a batch from spanning
+  // two requests, so the ambient request here is the one that issued it.
+  for (uint32_t k = r.get_u32(); k > 0; --k) {
+    const int64_t id = r.get_i64();
+    const uint32_t n = r.get_u32();
+    if (serve_.req != 0 && on_self_notify_) on_self_notify_(serve_.req, id, n);
+  }
   if (!r.get_bool()) {
     std::string err = r.get_str();
     if (deferred_error_.empty()) deferred_error_ = std::move(err);
@@ -146,10 +154,10 @@ const Client::CacheEntry* Client::cache_lookup(int64_t id, EntryKind kind) {
   // Coherence against the write-behind pipeline: an outstanding kAckBatch
   // from this id's owner may carry the invalidation that kills the cached
   // entry. Apply everything the owner has already replied (acks drain
-  // FIFO) before trusting a hit — restoring the synchronous-mode
-  // invariant that every received invalidation is applied before any
-  // consult. No-op unless a shipped batch to that owner is unacked.
-  if (cfg_.pipeline_window > 1) pipeline_drain(owner_server(id, comm_.size(), cfg_));
+  // FIFO) before trusting a hit, so every received invalidation is
+  // applied before any consult. No-op unless a shipped batch to that
+  // owner is unacked.
+  pipeline_drain(owner_server(id, comm_.size(), cfg_));
   auto it = cache_.find(id);
   if (it == cache_.end()) return nullptr;
   if (it->second.kind != kind) return nullptr;
@@ -196,11 +204,9 @@ namespace {
   throw DataError(r.get_str());
 }
 
-// Reads an Ack/Error reply; returns the ACK's piggybacked count of close
-// notifications queued back to this rank (0 for non-closing ops).
-uint32_t expect_ack(ser::Reader r) {
+void expect_ack(ser::Reader r) {
   Op op = static_cast<Op>(r.get_u8());
-  if (op == Op::kAck) return r.get_u32();
+  if (op == Op::kAck) return;
   if (op == Op::kError) raise_error(r);
   throw CommError("adlb: unexpected reply opcode");
 }
@@ -358,46 +364,24 @@ int64_t Client::unique() {
 
 void Client::create(int64_t id, DataType type) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  if (pipeline_active()) {
-    ser::Writer& w = pipeline_writer(server);
-    w.put_u8(static_cast<uint8_t>(Op::kCreate));
-    w.put_i64(id);
-    w.put_u8(static_cast<uint8_t>(type));
-    w.put_i64(serve_.req);
-    pipeline_note_op(server);
-    return;
-  }
-  ser::Writer w = comm_.writer();
+  ser::Writer& w = pipeline_writer(server);
   w.put_u8(static_cast<uint8_t>(Op::kCreate));
   w.put_i64(id);
   w.put_u8(static_cast<uint8_t>(type));
   // Datums created while a request evaluates here belong to its
   // namespace: the owning shard indexes them for kFreeNamespace.
   w.put_i64(serve_.req);
-  expect_ack(rpc(server, std::move(w)));
+  pipeline_note_op(server);
 }
 
 void Client::store(int64_t id, std::string_view value, bool close) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  // pipeline_active() implies no serve request context, so the ACK's
-  // self-notification count (consumed only by serve accounting) can be
-  // coalesced away with the rest of the reply.
-  if (pipeline_active()) {
-    ser::Writer& w = pipeline_writer(server);
-    w.put_u8(static_cast<uint8_t>(Op::kStore));
-    w.put_i64(id);
-    w.put_bool(close);
-    w.put_str(value);
-    pipeline_note_op(server);
-    return;
-  }
-  ser::Writer w = comm_.writer();
+  ser::Writer& w = pipeline_writer(server);
   w.put_u8(static_cast<uint8_t>(Op::kStore));
   w.put_i64(id);
   w.put_bool(close);
   w.put_str(value);
-  uint32_t n = expect_ack(rpc(server, std::move(w)));
-  if (n > 0 && serve_.req != 0 && on_self_notify_) on_self_notify_(serve_.req, id, n);
+  pipeline_note_op(server);
 }
 
 std::string Client::retrieve(int64_t id) { return retrieve_view(id).to_string(); }
@@ -518,18 +502,10 @@ DataType Client::type_of(int64_t id) {
 
 void Client::close(int64_t id) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  if (pipeline_active()) {
-    ser::Writer& w = pipeline_writer(server);
-    w.put_u8(static_cast<uint8_t>(Op::kCloseDatum));
-    w.put_i64(id);
-    pipeline_note_op(server);
-    return;
-  }
-  ser::Writer w = comm_.writer();
+  ser::Writer& w = pipeline_writer(server);
   w.put_u8(static_cast<uint8_t>(Op::kCloseDatum));
   w.put_i64(id);
-  uint32_t n = expect_ack(rpc(server, std::move(w)));
-  if (n > 0 && serve_.req != 0 && on_self_notify_) on_self_notify_(serve_.req, id, n);
+  pipeline_note_op(server);
 }
 
 bool Client::subscribe(int64_t id, int notify_type) {
@@ -550,56 +526,30 @@ void Client::ref_incr(int64_t id, int delta) {
   // that follows if this decrement turns out to be the last.
   if (delta < 0) cache_erase(id);
   const int server = owner_server(id, comm_.size(), cfg_);
-  if (pipeline_active()) {
-    ser::Writer& w = pipeline_writer(server);
-    w.put_u8(static_cast<uint8_t>(Op::kRefIncr));
-    w.put_i64(id);
-    w.put_i32(delta);
-    pipeline_note_op(server);
-    return;
-  }
-  ser::Writer w = comm_.writer();
+  ser::Writer& w = pipeline_writer(server);
   w.put_u8(static_cast<uint8_t>(Op::kRefIncr));
   w.put_i64(id);
   w.put_i32(delta);
-  expect_ack(rpc(server, std::move(w)));
+  pipeline_note_op(server);
 }
 
 void Client::write_incr(int64_t id, int delta) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  if (pipeline_active()) {
-    ser::Writer& w = pipeline_writer(server);
-    w.put_u8(static_cast<uint8_t>(Op::kWriteIncr));
-    w.put_i64(id);
-    w.put_i32(delta);
-    pipeline_note_op(server);
-    return;
-  }
-  ser::Writer w = comm_.writer();
+  ser::Writer& w = pipeline_writer(server);
   w.put_u8(static_cast<uint8_t>(Op::kWriteIncr));
   w.put_i64(id);
   w.put_i32(delta);
-  uint32_t n = expect_ack(rpc(server, std::move(w)));
-  if (n > 0 && serve_.req != 0 && on_self_notify_) on_self_notify_(serve_.req, id, n);
+  pipeline_note_op(server);
 }
 
 void Client::insert(int64_t container_id, std::string_view key, std::string_view value) {
   const int server = owner_server(container_id, comm_.size(), cfg_);
-  if (pipeline_active()) {
-    ser::Writer& w = pipeline_writer(server);
-    w.put_u8(static_cast<uint8_t>(Op::kInsert));
-    w.put_i64(container_id);
-    w.put_str(key);
-    w.put_str(value);
-    pipeline_note_op(server);
-    return;
-  }
-  ser::Writer w = comm_.writer();
+  ser::Writer& w = pipeline_writer(server);
   w.put_u8(static_cast<uint8_t>(Op::kInsert));
   w.put_i64(container_id);
   w.put_str(key);
   w.put_str(value);
-  expect_ack(rpc(server, std::move(w)));
+  pipeline_note_op(server);
 }
 
 std::optional<std::string> Client::lookup(int64_t container_id, std::string_view key) {

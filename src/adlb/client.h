@@ -1,7 +1,9 @@
 // The client (engine/worker) side of ADLB: task Put/Get plus the typed
-// data store operations Turbine is built on. Every call is a synchronous
-// RPC to a server; Get blocks until work arrives or the servers detect
-// global quiescence and shut the run down.
+// data store operations Turbine is built on. Reads, subscribes, Get and
+// targeted puts are synchronous RPCs to a server; the ack-only datum ops
+// are write-behind (see the pipeline section below). Get blocks until
+// work arrives or the servers detect global quiescence and shut the run
+// down.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +41,9 @@ struct DataCacheStats {
 };
 
 // Activity counters for the write-behind datum pipeline (published as the
-// adlb.pipeline_* metrics). All zero when pipelining is off (window <= 1).
+// adlb.pipeline_* metrics). Every ack-only datum op counts, in any run.
 struct DataPipelineStats {
-  uint64_t ops = 0;      // ack-only datum ops that were buffered
+  uint64_t ops = 0;      // ack-only datum ops buffered
   uint64_t flushes = 0;  // kDataBatch messages shipped
   uint64_t stalls = 0;   // ships that had to drain an ack first (window full)
 
@@ -159,9 +161,11 @@ class Client {
 
   // Owner-engine accounting hooks. on_spawned(req) fires when a unit of
   // `req` is counted locally at put time (+1 before the unit leaves this
-  // rank); on_self_notify(req, id, n) fires when a store/close/write_incr
-  // ACK reports n close notifications queued back to this very rank — the
-  // owner must treat them as outstanding until they arrive.
+  // rank); on_self_notify(req, id, n) fires when a kAckBatch reports that
+  // a store/close/write_incr of datum `id` queued n close notifications
+  // back to this very rank — the owner must treat them as outstanding
+  // until they arrive. A request unit calls sync() before it counts as
+  // done, so the credits land while its request context is still set.
   void set_serve_hooks(std::function<void(int64_t)> on_spawned,
                        std::function<void(int64_t, int64_t, uint32_t)> on_self_notify) {
     on_spawned_ = std::move(on_spawned);
@@ -191,16 +195,16 @@ class Client {
   ser::Reader rpc(int server, ser::Writer&& request);
   void flush_puts();
 
-  // ---- write-behind datum pipeline (Config::pipeline_window) ----
-  // Ack-only datum ops are appended to a per-owning-server kDataBatch
-  // buffer instead of doing a blocking round-trip each. Buffers ship
-  // before any synchronous exchange leaves this client (flush_puts /
-  // rpc), and every outstanding kAckBatch is drained before Get parks
-  // this rank, so neither task causality nor the termination detector's
-  // "parked clients have nothing in flight" invariant ever observes a
-  // buffered op. Batched server errors surface as a DataError thrown at
-  // the next synchronous boundary (rpc / flush_puts / sync).
-  bool pipeline_active() const { return cfg_.pipeline_window > 1 && serve_.req == 0; }
+  // ---- write-behind datum pipeline (kDataPipelineWindow) ----
+  // Every ack-only datum op is appended to a per-owning-server kDataBatch
+  // buffer instead of doing a blocking round-trip. Buffers ship before
+  // any synchronous exchange leaves this client (flush_puts / rpc), and
+  // every outstanding kAckBatch is drained before Get parks this rank,
+  // so neither task causality nor the termination detector's "parked
+  // clients have nothing in flight" invariant ever observes a buffered
+  // op. Batched server errors surface as a DataError thrown at the next
+  // synchronous boundary (rpc / flush_puts / sync); a kAckBatch's
+  // self-notification counts go to on_self_notify as it drains.
   // Returns the batch buffer for `server`, opening a new kDataBatch frame
   // if needed; the caller appends one sub-op then calls pipeline_note_op.
   ser::Writer& pipeline_writer(int server);

@@ -10,9 +10,19 @@
 // a Dijkstra-style token ring, at which point every parked Get is released
 // with a shutdown notice.
 //
-// All client RPCs are synchronous (request then reply): this gives the
-// termination detector the invariant that a parked client has no messages
-// in flight, so only server<->server traffic needs to be counted.
+// Every client request is answered (a reply, or a kAckBatch for a
+// write-behind kDataBatch), and a client drains all its outstanding
+// answers before it parks in Get: this gives the termination detector the
+// invariant that a parked client has no messages in flight, so only
+// server<->server traffic needs to be counted.
+//
+// The ack-only datum ops (create/store/close/ref_incr/write_incr/insert)
+// exist only as kDataBatch sub-ops. Every one of them is write-behind:
+// buffered per owning server, shipped before any other request leaves
+// the client (so cross-client read-after-write still holds through task
+// causality), and acknowledged by one coalesced kAckBatch per batch.
+// Server errors surface as DataError at the client's next synchronous
+// boundary.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +55,12 @@ inline constexpr int kNotificationPriority = 1 << 20;
 // a local prefetch queue, skipping whole round trips per task. Datum
 // sub-ops accumulate per owning server up to kDataBatchOps before a
 // kDataBatch ships on its own (any synchronous exchange also ships
-// partial batches).
+// partial batches); at most kDataPipelineWindow shipped batches per
+// server wait for their kAckBatch before the client stalls on the oldest.
 inline constexpr int kPutBatchUnits = 16;
 inline constexpr int kGetBatchUnits = 4;
 inline constexpr uint32_t kDataBatchOps = 16;
+inline constexpr int kDataPipelineWindow = 8;
 
 struct Config {
   int nservers = 1;
@@ -56,21 +68,6 @@ struct Config {
   // Rebalancing batch policy: ship half the queue per Hungry notice (ADLB
   // steal-half) or a single unit. Ablated in bench_ablation.
   bool steal_half = true;
-
-  // ---- write-behind datum pipeline ----
-  // Ack-only datum ops (create/store/close/ref_incr/write_incr/insert) are
-  // write-behind: buffered per owning server into kDataBatch requests and
-  // shipped with up to this many unacked batches outstanding per server,
-  // each answered by one coalesced kAckBatch. Every batch is shipped
-  // before any other RPC leaves this client (so cross-client read-after-
-  // write still holds through task causality), and every outstanding ack
-  // is drained before a Get parks the client (so the termination detector
-  // never sees a parked client with an unprocessed batch in flight).
-  // Server errors surface as DataError at the next synchronous boundary.
-  // <= 1 restores one blocking round-trip per op, as does any op issued
-  // inside a serve request context (src/serve accounting consumes per-op
-  // ack payloads).
-  int pipeline_window = 8;
 
   // ---- client-side datum cache ----
   // Byte budget in MiB for the per-rank read-through cache of closed
@@ -203,18 +200,19 @@ enum class Op : uint8_t {
                     // the server requeues it or aborts the run
   kPutBatch = 4,    // u64 count + that many units, acked once
   kDataBatch = 5,   // u64 count + that many ack-only datum sub-ops (each a
-                    // u8 opcode + its usual body), answered by one
-                    // kAckBatch; the client pipelines these write-behind
-                    // (Config::pipeline_window)
-  kCreate = 10,
-  kStore = 11,
+                    // u8 opcode, the i64 datum id, then its arguments),
+                    // answered by one kAckBatch
+  kCreate = 10,     // kDataBatch sub-op only
+  kStore = 11,      // kDataBatch sub-op only
   kRetrieve = 12,
   kExists = 13,
-  kCloseDatum = 14,
+  kCloseDatum = 14, // kDataBatch sub-op only
   kSubscribe = 15,
-  kRefIncr = 16,   // signed delta; datum deleted at zero read refs
-  kWriteIncr = 17, // signed delta; datum closed at zero write refs
-  kInsert = 20,
+  kRefIncr = 16,    // kDataBatch sub-op only; signed delta; datum deleted
+                    // at zero read refs
+  kWriteIncr = 17,  // kDataBatch sub-op only; signed delta; datum closed at
+                    // zero write refs
+  kInsert = 20,     // kDataBatch sub-op only
   kLookup = 21,
   kEnumerate = 22,
   kTypeOf = 23,
@@ -234,7 +232,10 @@ enum class Op : uint8_t {
   kValue = 44,
   kNoValue = 45,
   kGotWorkBatch = 46,  // u64 count + that many units of the Get's type
-  kAckBatch = 47,      // acks one whole kDataBatch: bool ok, else the first
+  kAckBatch = 47,      // acks one whole kDataBatch: u32 k + k x {i64 id,
+                       // u32 n} for each sub-op that queued n > 0 close
+                       // notifications back to the sender (serve
+                       // self-notify credits), then bool ok, else the first
                        // failing sub-op's error string (surfaced client-side
                        // as a deferred DataError at the next sync point)
 

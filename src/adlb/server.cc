@@ -166,25 +166,35 @@ void Server::handle_request(const mpi::Message& m) {
       break;
     }
     case Op::kDataBatch: {
-      // Pipelined ack-only datum sub-ops. Failures are collected, not
-      // fatal to the batch: each sub-op reads its arguments fully before
-      // it can throw, so parsing stays aligned and later sub-ops still
-      // apply (mirroring what independent single-op RPCs would do). One
-      // kAckBatch answers the whole batch; the first error rides along
-      // and surfaces client-side as a deferred DataError.
+      // The write-behind ack-only datum sub-ops. Failures are collected,
+      // not fatal to the batch: each sub-op reads its arguments fully
+      // before it can throw, so parsing stays aligned and later sub-ops
+      // still apply. One kAckBatch answers the whole batch: the (id, n)
+      // of every sub-op that queued n close notifications back to the
+      // sender (an owner engine's self-notify credits), then the first
+      // error, which surfaces client-side as a deferred DataError.
       uint64_t n = r.get_u64();
       std::string error;
+      std::vector<std::pair<int64_t, uint32_t>> self_notified;
       for (uint64_t i = 0; i < n; ++i) {
         Op sub = static_cast<Op>(r.get_u8());
+        int64_t id = r.get_i64();
         ++stats_.data_ops;
         try {
-          apply_data_mutation(m.source, sub, r);
+          if (uint32_t k = apply_data_mutation(m.source, sub, id, r); k > 0) {
+            self_notified.emplace_back(id, k);
+          }
         } catch (const DataError& e) {
           if (error.empty()) error = e.what();
         }
       }
       ser::Writer w = reply_writer(m.source);
       w.put_u8(static_cast<uint8_t>(Op::kAckBatch));
+      w.put_u32(static_cast<uint32_t>(self_notified.size()));
+      for (const auto& [id, k] : self_notified) {
+        w.put_i64(id);
+        w.put_u32(k);
+      }
       w.put_bool(error.empty());
       if (!error.empty()) w.put_str(error);
       comm_.send(m.source, kTagResponse, std::move(w));
@@ -369,11 +379,12 @@ void Server::handle_get(int source, int type) {
     comm_.send(source, kTagResponse, std::move(w));
     return;
   }
-  // Under ft a client holds one unit at a time: requeue must know exactly
+  // Under ft a worker holds one unit at a time: requeue must know exactly
   // which unit a dead worker held, and re-running a prefetched unit that
   // had already completed would repeat its write_incr and close a
-  // container early.
-  const int batch = cfg_.ft ? 1 : kGetBatchUnits;
+  // container early. Engine units are never tracked (an engine death
+  // restarts the run), so engines keep the batched Get.
+  const int batch = cfg_.ft && !is_engine_client(source) ? 1 : kGetBatchUnits;
   // Targeted work first (ADLB's matching order), then untargeted by
   // priority. Targeted units can only ever go to this client, so a batch
   // takes as many as the cap allows.
@@ -448,6 +459,10 @@ void Server::on_rank_dead_notice(int rank) {
 void Server::on_client_dead(int client) {
   if (dead_clients_.count(client) > 0) return;
   dead_clients_.insert(client);
+  // The client may be alive (a heartbeat fence of a slow task or a
+  // delayed link) and blocked on a reply that will never come once the
+  // run ends: doom it, so it dies at drain instead of hanging the join.
+  comm_.doom(client);
   if (!cfg_.ft) {
     comm_.abort("ilps: rank " + std::to_string(client) +
                 " died and fault tolerance is disabled");
@@ -826,15 +841,13 @@ void Server::gc_datum(int64_t id) {
   store_.erase(id);
 }
 
-// The ack-only mutations, shared verbatim between single-op RPCs (which
-// wrap the returned count in a kAck) and kDataBatch (which coalesces the
-// whole batch into one kAckBatch). Every case reads its full argument
+// The ack-only mutations, applied by the kDataBatch loop (which has
+// already read the sub-op's datum id). Every case reads its full argument
 // list before any validation can throw — the batch loop relies on that to
 // keep parsing past a failed sub-op.
-uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
+uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, ser::Reader& r) {
   switch (op) {
     case Op::kCreate: {
-      int64_t id = r.get_i64();
       auto type = static_cast<DataType>(r.get_u8());
       int64_t req = r.get_i64();
       if (store_.count(id) > 0) {
@@ -850,7 +863,6 @@ uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
       return 0;
     }
     case Op::kStore: {
-      int64_t id = r.get_i64();
       bool close = r.get_bool();
       std::string value = r.get_str();
       Datum& d = find_datum(id, "store");
@@ -866,7 +878,6 @@ uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
       return close ? do_close(id, d, source) : 0;
     }
     case Op::kCloseDatum: {
-      int64_t id = r.get_i64();
       Datum& d = find_datum(id, "close");
       if (d.closed) {
         if (cfg_.ft) return 0;  // replayed close of a void future
@@ -875,7 +886,6 @@ uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
       return do_close(id, d, source);
     }
     case Op::kRefIncr: {
-      int64_t id = r.get_i64();
       int delta = r.get_i32();
       Datum& d = find_datum(id, "refcount");
       d.read_refs += delta;
@@ -893,7 +903,6 @@ uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
       return 0;
     }
     case Op::kWriteIncr: {
-      int64_t id = r.get_i64();
       int delta = r.get_i32();
       Datum& d = find_datum(id, "write refcount");
       if (d.closed) {
@@ -907,7 +916,6 @@ uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
       return d.write_refs == 0 ? do_close(id, d, source) : 0;
     }
     case Op::kInsert: {
-      int64_t id = r.get_i64();
       std::string key = r.get_str();
       std::string value = r.get_str();
       Datum& d = find_datum(id, "insert");
@@ -942,15 +950,6 @@ void Server::handle_data_op(int source, Op op, ser::Reader& r) {
   ++stats_.data_ops;
   try {
     switch (op) {
-      case Op::kCreate:
-      case Op::kStore:
-      case Op::kCloseDatum:
-      case Op::kRefIncr:
-      case Op::kWriteIncr:
-      case Op::kInsert: {
-        reply_ack(source, apply_data_mutation(source, op, r));
-        return;
-      }
       case Op::kRetrieve: {
         int64_t id = r.get_i64();
         Datum& d = find_datum(id, "retrieve");
@@ -1218,10 +1217,9 @@ ser::Writer Server::reply_writer(int dest) {
   return w;
 }
 
-void Server::reply_ack(int dest, uint32_t self_notifications) {
+void Server::reply_ack(int dest) {
   ser::Writer w = reply_writer(dest);
   w.put_u8(static_cast<uint8_t>(Op::kAck));
-  w.put_u32(self_notifications);
   comm_.send(dest, kTagResponse, std::move(w));
 }
 

@@ -155,7 +155,7 @@ class Server {
   void accept_unit(WorkUnit unit);
   void deliver(int client, const WorkUnit& unit);
   // One kGotWorkBatch reply carrying several units (the Get fast path;
-  // under ft every client holds one unit at a time, see handle_get).
+  // under ft every worker holds one unit at a time, see handle_get).
   void deliver_batch(int client, std::vector<WorkUnit>& units);
   void handle_get(int source, int type);
   void evaluate_hunger();
@@ -168,18 +168,20 @@ class Server {
   void flush_forwards();
 
   // ---- data ----
+  // The synchronous datum ops: reads, subscribe and the serve sweeps.
   void handle_data_op(int source, Op op, ser::Reader& r);
-  // Performs one ack-only mutation (create/store/close/ref_incr/
-  // write_incr/insert) without replying; returns the self-notification
-  // count the single-op ACK would carry. Throws DataError on failure —
-  // always after fully consuming the sub-op's arguments, so a kDataBatch
-  // loop can catch and keep parsing.
-  uint32_t apply_data_mutation(int source, Op op, ser::Reader& r);
+  // Performs one kDataBatch sub-op (create/store/close/ref_incr/
+  // write_incr/insert on datum `id`); returns how many close
+  // notifications it queued back to `source`. Throws DataError on
+  // failure — always after fully consuming the sub-op's arguments, so the
+  // batch loop can catch and keep parsing.
+  uint32_t apply_data_mutation(int source, Op op, int64_t id, ser::Reader& r);
   Datum& find_datum(int64_t id, const char* op);
   // Closes the datum and queues one notification unit per subscriber.
   // Returns how many of those notifications target `rpc_source` itself:
-  // the count rides back on the ACK so an owner engine can account for
-  // close notifications it has just mailed to itself (see maybe_spawn_notice).
+  // the count rides back on the kAckBatch so an owner engine can account
+  // for close notifications it has just mailed to itself (see
+  // maybe_spawn_notice).
   uint32_t do_close(int64_t id, Datum& datum, int rpc_source);
   // Appends one retrieve result (value, cacheable flag, GC epoch) and
   // records the handout when cacheable (shared by kRetrieve and
@@ -201,7 +203,7 @@ class Server {
   // Every reply to a client starts with the invalidation header (see
   // protocol.h); this writer drains dest's pending invalidations into it.
   ser::Writer reply_writer(int dest);
-  void reply_ack(int dest, uint32_t self_notifications = 0);
+  void reply_ack(int dest);
   void reply_error(int dest, const std::string& message);
   void send_basic(int dest, const ser::Writer& w);
 

@@ -224,6 +224,13 @@ class Comm {
   // delay arms for this rank's next send.
   void unit_taken();
 
+  // Marks `rank` as one whose outstanding requests may never be answered
+  // (the ADLB server fenced it off as dead while it may still be alive).
+  // Its blocking receives poll from now on and still take any reply that
+  // arrives; once every other rank has finished or parked, it dies
+  // (RankKilled) instead of blocking World::run's join.
+  void doom(int rank);
+
   // Signals all ranks that the program is being torn down abnormally.
   void abort(const std::string& why);
 
@@ -277,7 +284,8 @@ class World {
   // plan.actions). A restart driver drops fired actions before retrying.
   std::vector<bool> fault_fired() const;
 
-  // Ranks that died (kill/hang/drop faults) during the last run.
+  // Ranks that died during the last run: kill/hang/drop faults, and ranks
+  // doomed by a server fence that were still waiting at drain.
   std::vector<int> dead_ranks() const;
 
   // Per-rank event buffers (src/obs), allocated lazily at run() when
@@ -319,7 +327,8 @@ class World {
   bool apply_send_fault(int rank, Comm::SendFault& next_send);
   void on_rank_dead(int rank);                          // notice + bookkeeping
   void finish_rank();
-  void park_until_drained(int rank);  // hung/doomed ranks; throws RankKilled
+  void park_until_drained(int rank);  // hung/cut-off ranks; throws RankKilled
+  void doom(int rank);                    // Comm::doom
   char send_fault_state(int rank) const;  // kDoomed / kCutOff / 0
 
   int size_;

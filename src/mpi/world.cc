@@ -22,7 +22,7 @@ constexpr int kTagBcast = kMaxUserTag + 3;
 constexpr int kTagReduce = kMaxUserTag + 4;
 constexpr int kTagGather = kMaxUserTag + 5;
 
-// Per-rank send-fault state (WorldState::send_fault). A doomed rank's
+// Per-rank fault state (WorldState::send_fault). A doomed rank's
 // blocking receives poll and give up once nothing can arrive; a cut-off
 // rank's next blocking receive parks until the world drains.
 constexpr char kDoomed = 1;
@@ -189,9 +189,11 @@ struct WorldState {
   FaultPlan plan;
   std::vector<std::unique_ptr<ilps::Atomic<bool>>> fired;  // parallel to plan.actions
   std::vector<char> dead;    // written by the dying thread, read after run()
-  // kDoomed / kCutOff per rank (see apply_send_fault); only the owning
-  // rank reads/writes its slot.
-  std::vector<char> send_fault;
+  // kDoomed / kCutOff per rank. The owning rank cuts itself off
+  // (apply_send_fault); any rank may doom it (World::doom, a compare-
+  // exchange from 0 that never overrides a cut-off); the owner re-reads
+  // its slot on every pass of wait_match.
+  std::unique_ptr<ilps::Atomic<char>[]> send_fault;
   // Drain bookkeeping: hung/doomed ranks are released (and killed) once
   // every other rank has finished, so run() can always join its threads.
   ilps::Mutex fin_mutex;
@@ -202,6 +204,7 @@ struct WorldState {
 
 World::World(int size) : size_(size), state_(std::make_unique<WorldState>()) {
   if (size <= 0) throw CommError("world size must be positive");
+  state_->send_fault = std::make_unique<ilps::Atomic<char>[]>(static_cast<size_t>(size));
   boxes_.reserve(static_cast<size_t>(size));
   for (int i = 0; i < size; ++i) {
     auto box = std::make_unique<Mailbox>();
@@ -227,7 +230,7 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
     state_->finished = 0;
     state_->parked_faulty = 0;
     state_->dead.assign(static_cast<size_t>(size_), 0);
-    state_->send_fault.assign(static_cast<size_t>(size_), 0);
+    for (size_t r = 0; r < static_cast<size_t>(size_); ++r) state_->send_fault[r].store(0);
   }
   state_->bar.arrived.store(0);
   state_->bar.generation.store(0);
@@ -401,9 +404,7 @@ std::optional<Message> World::match_now(int self, int source, int tag) {
 
 Message World::wait_match(int self, int source, int tag) {
   Mailbox& box = *boxes_[static_cast<size_t>(self)];
-  const char fault = send_fault_state(self);
-  if (fault == kCutOff) park_until_drained(self);  // throws RankKilled
-  const bool is_doomed = fault == kDoomed;
+  if (send_fault_state(self) == kCutOff) park_until_drained(self);  // throws RankKilled
   bool parked = false;
   while (true) {
     box.drain();
@@ -418,8 +419,8 @@ Message World::wait_match(int self, int source, int tag) {
       throw CommError("recv interrupted: world aborted (" + state_->copy_abort_reason() +
                       ")");
     }
-    if (is_doomed) {
-      // A doomed rank (its request was delayed) may never get a reply.
+    if (send_fault_state(self) == kDoomed) {
+      // A doomed rank (a server fenced it off) may never get a reply.
       // Count it as parked so quiescent peers can drain; a reply that
       // does arrive is still taken above, and once every other rank has
       // finished or parked, nothing can arrive: kill it.
@@ -466,8 +467,12 @@ Message World::wait_match(int self, int source, int tag) {
       // The wait loop re-checks `aborted`: an abort that completed between
       // the loop-top check and our registration has already overwritten
       // and consumed its `notified = true`, and will never notify again.
+      // It re-checks the doom too: doom() stores it before taking wake_mu
+      // to notify, so it is seen here or its notify lands in the wait.
       ilps::UniqueLock lock(box.wake_mu);
-      while (!box.notified && !state_->aborted.load()) box.cv.wait(lock);
+      while (!box.notified && !state_->aborted.load() && send_fault_state(self) != kDoomed) {
+        box.cv.wait(lock);
+      }
       box.waiting = false;
       box.notified = false;
     }
@@ -636,8 +641,17 @@ std::vector<int> World::dead_ranks() const {
 }
 
 char World::send_fault_state(int rank) const {
-  const auto& d = state_->send_fault;
-  return static_cast<size_t>(rank) < d.size() ? d[static_cast<size_t>(rank)] : 0;
+  return state_->send_fault[static_cast<size_t>(rank)].load();
+}
+
+void World::doom(int rank) {
+  char clean = 0;
+  state_->send_fault[static_cast<size_t>(rank)].compare_exchange_strong(clean, kDoomed);
+  // Wake the rank if it is blocked in wait_match's unbounded wait, so it
+  // re-checks and polls from now on.
+  Mailbox& box = *boxes_[static_cast<size_t>(rank)];
+  ilps::LockGuard lock(box.wake_mu);
+  box.cv.notify_all();
 }
 
 void World::fire_faults(int rank, uint64_t unit, Comm::SendFault& next_send) {
@@ -665,21 +679,19 @@ void World::fire_faults(int rank, uint64_t unit, Comm::SendFault& next_send) {
 }
 
 bool World::apply_send_fault(int rank, Comm::SendFault& next_send) {
-  char& state = state_->send_fault.at(static_cast<size_t>(rank));
   if (next_send.drop) {
     // The link is cut: this send and every later one are lost (next_send
     // stays armed), and the rank's next blocking recv parks until the
     // world drains. A client never receives a reply it could mistake for
     // the lost request's.
-    state = kCutOff;
+    state_->send_fault[static_cast<size_t>(rank)].store(kCutOff);
     return false;
   }
-  // A delayed request may land after the server has fenced the silent
-  // sender off and the run has ended, so the reply may never come: the
-  // rank is doomed from here on (see wait_match).
+  // A delayed request that lands after the server fenced the silent
+  // sender off may never be answered; the fence dooms the sender
+  // (Comm::doom), so the delay itself needs no bookkeeping.
   const double delay = next_send.delay_seconds;
   next_send = {};
-  state = kDoomed;
   std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   return true;
 }
@@ -690,7 +702,7 @@ void World::on_rank_dead(int rank) {
   // Runs on the dying rank's own thread, so the instant lands in its
   // buffer — and exactly once per death (on_rank_dead has one call site).
   obs::instant(obs::EventKind::kRankDead, rank);
-  log::warn("rank ", rank, " died (fault injection)");
+  log::warn("rank ", rank, " died");
   // Death notice to every surviving mailbox; fault-aware receivers (the
   // ADLB server) match kTagFault, everyone else never requests it.
   const std::vector<std::byte> empty;
@@ -919,6 +931,8 @@ std::vector<std::vector<std::byte>> Comm::gather(std::span<const std::byte> data
 }
 
 double Comm::wtime() const { return ilps::wtime(); }
+
+void Comm::doom(int rank) { world_->doom(rank); }
 
 void Comm::abort(const std::string& why) { world_->abort(why); }
 

@@ -55,7 +55,7 @@ enum class EventKind : uint16_t {
   kMpiSend,  // user-level send posted                a=dest   b=bytes
   kMpiRecv,  // blocking recv completed               a=source b=bytes
   // fault handling / termination
-  kRankDead,        // this rank died (fault injection)  a=rank
+  kRankDead,        // this rank died (fault or doom)    a=rank
   kHeartbeatDeath,  // server declared a client dead     a=client b=silent ms
   kTermToken,       // termination token handled         a=count  b=black/init
   kShutdown,        // server concluded global quiet

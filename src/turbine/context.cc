@@ -490,12 +490,23 @@ void Context::handle_serve_notice(const adlb::WorkUnit& unit) {
 
 void Context::eval_for_request(int64_t req, int owner, int64_t prog, const std::string& script) {
   ReqScope scope(*this, req, owner, prog);
+  // A failure fails the request, not the resident runtime. Outstanding
+  // units keep draining and completion fires once the counts reach zero.
+  const auto fail = [&](const Error& e) {
+    engine_->fail_request(req, classify_error(e), e.what());
+  };
   try {
     exec_action(script);
   } catch (const Error& e) {
-    // The request fails; the resident runtime does not. Outstanding units
-    // keep draining and completion fires once the counts reach zero.
-    engine_->fail_request(req, classify_error(e), e.what());
+    fail(e);
+  }
+  // The unit is done only once its write-behind ops are acknowledged, even
+  // when the action threw: their kAckBatch carries the unit's self-notify
+  // credits, and a failed store fails this request, not a later one.
+  try {
+    client_.sync();
+  } catch (const Error& e) {
+    fail(e);
   }
 }
 
@@ -608,6 +619,7 @@ void Context::run_worker() {
     ++stats_.tasks;
     const double started = ilps::wtime();
     const bool serve = unit->req != 0;
+    const bool settles = serve || client_.config().ft;
     const auto account_busy = [&] {
       if (busy_gauge != nullptr) {
         busy_total += ilps::wtime() - started;
@@ -618,17 +630,17 @@ void Context::run_worker() {
       {
         obs::RequestScope rscope(serve ? unit->req : 0);
         obs::Span span(obs::EventKind::kTaskRun, unit->id);
+        std::optional<ReqScope> scope;
         if (serve) {
           load_program(unit->prog);
-          ReqScope scope(*this, unit->req, unit->owner, unit->prog);
-          exec_action(unit->payload);
-        } else {
-          exec_action(unit->payload);
+          scope.emplace(*this, unit->req, unit->owner, unit->prog);
         }
+        exec_action(unit->payload);
         // A write-behind op that fails surfaces at the next sync point.
-        // Under ft, make that point inside this try, so the failure is
-        // this task's and goes back to the server for retry.
-        if (client_.config().ft) client_.sync();
+        // Under ft and serve, make that point inside this try, so the
+        // failure is this task's: retried under ft, failing only its own
+        // request under serve.
+        if (settles) client_.sync();
       }
       const double took = ilps::wtime() - started;
       if (task_seconds != nullptr) task_seconds->record(took);
@@ -639,6 +651,14 @@ void Context::run_worker() {
       // server for retry; under serve it fails only its own request;
       // otherwise it fails the run as before.
       end_task();
+      // Ops the task buffered before it threw are part of this failure:
+      // settle them here, or their error would surface in a later task.
+      if (settles) {
+        try {
+          client_.sync();
+        } catch (const DataError&) {
+        }
+      }
       if (client_.config().ft) {
         client_.task_failed(*unit, e.what());
         account_busy();
@@ -647,9 +667,13 @@ void Context::run_worker() {
       std::string message = "task <" + std::to_string(unit->id) + "> failed on rank " +
                             std::to_string(client_.rank()) + ": " + e.what();
       if (serve) {
+        // A failed store is a data error here as in an engine rule body;
+        // anything else the leaf raised is a task failure.
+        const RequestErrorKind kind = classify_error(e) == RequestErrorKind::kData
+                                          ? RequestErrorKind::kData
+                                          : RequestErrorKind::kTask;
         send_serve_notice(unit->req, unit->owner,
-                          "E" + std::to_string(static_cast<int>(RequestErrorKind::kTask)) +
-                              ":" + message);
+                          "E" + std::to_string(static_cast<int>(kind)) + ":" + message);
         account_busy();
         continue;
       }

@@ -40,20 +40,6 @@ void run(int nclients, int nservers, const std::function<void(Client&)>& client_
   run_cfg(cfg, nclients, client_main);
 }
 
-// Like run(), but with the write-behind datum pipeline off (window 1):
-// every data op is a blocking RPC whose error throws at the call site.
-// Tests that pin exact throw sites use this; with pipelining on, batched
-// failures surface later, as a deferred DataError at the next sync point
-// (see AdlbData.PipelinedErrorsSurfaceDeferred).
-void run_sync(int nclients, int nservers, const std::function<void(Client&)>& client_main,
-              int ntypes = 2) {
-  Config cfg;
-  cfg.nservers = nservers;
-  cfg.ntypes = ntypes;
-  cfg.pipeline_window = 1;
-  run_cfg(cfg, nclients, client_main);
-}
-
 // A client that only drains work of one type until shutdown, recording
 // payloads.
 void drain(Client& client, int type, std::vector<std::string>& sink, std::mutex& mu) {
@@ -259,15 +245,15 @@ TEST(AdlbData, UniqueIdsDisjointAcrossRanks) {
 }
 
 TEST(AdlbData, ErrorPaths) {
-  run_sync(1, 1, [](Client& c) {
+  run(1, 1, [](Client& c) {
     int64_t id = c.unique();
     EXPECT_THROW(c.retrieve(id), DataError);        // missing
     c.create(id, DataType::kInteger);
-    EXPECT_THROW(c.create(id, DataType::kInteger), DataError);  // double create
+    EXPECT_THROW({ c.create(id, DataType::kInteger); c.sync(); }, DataError);  // double create
     EXPECT_THROW(c.retrieve(id), DataError);        // not closed
     c.store(id, "1");
-    EXPECT_THROW(c.store(id, "2"), DataError);      // double assignment
-    EXPECT_THROW(c.close(id), DataError);           // already closed
+    EXPECT_THROW({ c.store(id, "2"); c.sync(); }, DataError);  // double assignment
+    EXPECT_THROW({ c.close(id); c.sync(); }, DataError);  // already closed
     EXPECT_FALSE(c.get(kTypeWork).has_value());
   });
 }
@@ -316,20 +302,20 @@ TEST(AdlbData, SubscribeAcrossRanks) {
 }
 
 TEST(AdlbData, ReadRefcountDeletes) {
-  run_sync(1, 1, [](Client& c) {
+  run(1, 1, [](Client& c) {
     int64_t id = c.unique();
     c.create(id, DataType::kString);
     c.store(id, "v");
     c.ref_incr(id, 2);  // refs: 3
     c.ref_incr(id, -3);
     EXPECT_FALSE(c.exists(id));
-    EXPECT_THROW(c.ref_incr(id, -1), DataError);
+    EXPECT_THROW({ c.ref_incr(id, -1); c.sync(); }, DataError);
     EXPECT_FALSE(c.get(kTypeWork).has_value());
   });
 }
 
 TEST(AdlbData, WriteRefcountClosesContainer) {
-  run_sync(1, 1, [](Client& c) {
+  run(1, 1, [](Client& c) {
     int64_t id = c.unique();
     c.create(id, DataType::kContainer);
     c.write_incr(id, 1);  // writers: 2
@@ -345,29 +331,29 @@ TEST(AdlbData, WriteRefcountClosesContainer) {
     ASSERT_EQ(entries.size(), 3u);
     EXPECT_EQ(entries[0].first, "a");
     EXPECT_EQ(entries[2].second, "3");
-    EXPECT_THROW(c.insert(id, "d", "4"), DataError);
+    EXPECT_THROW({ c.insert(id, "d", "4"); c.sync(); }, DataError);
     EXPECT_FALSE(c.get(kTypeControl).has_value());
   });
 }
 
 TEST(AdlbData, ContainerLookup) {
-  run_sync(1, 1, [](Client& c) {
+  run(1, 1, [](Client& c) {
     int64_t id = c.unique();
     c.create(id, DataType::kContainer);
     c.insert(id, "k", "v");
     EXPECT_EQ(c.lookup(id, "k").value(), "v");
     EXPECT_FALSE(c.lookup(id, "nope").has_value());
-    EXPECT_THROW(c.insert(id, "k", "dup"), DataError);
+    EXPECT_THROW({ c.insert(id, "k", "dup"); c.sync(); }, DataError);
     int64_t scalar = c.unique();
     c.create(scalar, DataType::kInteger);
-    EXPECT_THROW(c.insert(scalar, "k", "v"), DataError);
+    EXPECT_THROW({ c.insert(scalar, "k", "v"); c.sync(); }, DataError);
     EXPECT_THROW(c.lookup(scalar, "k"), DataError);
     EXPECT_THROW(c.enumerate(scalar), DataError);
     EXPECT_FALSE(c.get(kTypeWork).has_value());
   });
 }
 
-// With the write-behind pipeline on (the default), a batched sub-op's
+// Every ack-only datum op is write-behind, so a batched sub-op's
 // failure surfaces as a DataError at the next synchronous boundary rather
 // than at the buffered call itself — and later independent sub-ops in the
 // same batch still apply, exactly as separate RPCs would.

@@ -6,7 +6,11 @@
 #include <filesystem>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -264,6 +268,72 @@ TEST(Faults, HungWorkerIsDetectedByHeartbeat) {
   EXPECT_GE(result.server_stats.heartbeat_deaths, 1u);
   ASSERT_EQ(result.ft.dead_ranks.size(), 1u);
   EXPECT_EQ(result.ft.dead_ranks[0], 3);
+}
+
+// ---- a live worker fenced by the heartbeat does not hang the run ----
+
+// One leaf task busy-waits 400 ms, well past the 150 ms heartbeat, but
+// only on rank 1: the server declares that live worker dead and requeues
+// its task, which finishes quickly elsewhere. The run then ends while
+// rank 1 is still computing; its next request is never answered. The
+// fence dooms it, so it dies at drain instead of blocking World::run's
+// join. No FaultPlan is involved. The run is bounded here, so a hang
+// fails this test instead of timing out the suite.
+const char* kSlowOnRankOneProgram = R"(
+proc slow_on_rank {rank ms value} {
+  if {[turbine::rank] == $rank} {
+    set end [expr {[clock milliseconds] + $ms}]
+    while {[clock milliseconds] < $end} {}
+  }
+  return $value
+}
+proc report {ids} {
+  set sum 0
+  foreach x $ids {
+    set sum [expr {$sum + [turbine::retrieve_integer $x]}]
+  }
+  puts "sum $sum of [llength $ids]"
+}
+proc swift:main {} {
+  set ids [list]
+  for {set i 0} {$i < 12} {incr i} {
+    lappend ids [turbine::allocate integer]
+  }
+  turbine::rule $ids "report [list $ids]" type LOCAL
+  turbine::put_work_to 1 "turbine::store_integer [lindex $ids 0] \[slow_on_rank 1 400 7\]"
+  for {set i 1} {$i < 12} {incr i} {
+    turbine::put_work "turbine::store_integer [lindex $ids $i] $i"
+  }
+}
+)";
+
+TEST(Faults, HeartbeatFencedLiveWorkerDoesNotHangTheRun) {
+  runtime::Config cfg = base_config();
+  const std::string expected = runtime::run_program(cfg, kSlowOnRankOneProgram).output();
+  ASSERT_EQ(expected, "sum 73 of 12\n");
+
+  cfg.heartbeat_timeout_ms = 150;
+  std::promise<runtime::RunResult> done;
+  std::future<runtime::RunResult> result = done.get_future();
+  std::thread runner([&cfg, &done] {
+    try {
+      done.set_value(runtime::run_with_faults(cfg, kSlowOnRankOneProgram));
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  if (result.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    // The hung world still references this frame: leave the process
+    // without unwinding it.
+    ADD_FAILURE() << "run_with_faults did not return within 60 s: the fenced worker hangs the join";
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  runner.join();
+  const runtime::RunResult r = result.get();
+  EXPECT_EQ(r.output(), expected);
+  EXPECT_EQ(r.ft.attempts, 1);
+  EXPECT_GE(r.server_stats.heartbeat_deaths, 1u);
 }
 
 // ---- dropped request: the sender is doomed, detected by heartbeat ----

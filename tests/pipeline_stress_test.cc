@@ -33,8 +33,6 @@ void run(int nclients, int nservers, int cache_mb,
   Config cfg;
   cfg.nservers = nservers;
   cfg.data_cache_mb = cache_mb;
-  // cfg.pipeline_window stays at its default (> 1): these tests exist to
-  // exercise the pipelined path.
   mpi::World world(nclients + nservers);
   world.run([&](mpi::Comm& comm) {
     if (is_server(comm.rank(), comm.size(), cfg)) {

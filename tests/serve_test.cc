@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -219,6 +220,92 @@ TEST(Serve, DeadlockFailsRequestNotRuntime) {
   ServiceStats s = service.stats();
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.completed, 5u);
+}
+
+// Every request datum op is write-behind. An engine rule that stores a
+// future another rule on the same engine waits on mails a close
+// notification to its own rank; the kAckBatch reports it, and the owner
+// must count it as outstanding until it arrives, or the request looks
+// finished (here: deadlocked) while the notification is still queued.
+// Each request is a leaf output followed by a chain of operator
+// statements: every link is a LOCAL rule closing the next link's input.
+TEST(Serve, SelfNotificationsAcrossManyConcurrentRequests) {
+  ServeConfig cfg = small_config(/*engines=*/2, /*workers=*/2);
+  constexpr int kRequests = 1000;
+  cfg.max_inflight = kRequests;
+  Service service(cfg);
+  service.enter();
+  const auto program = [](int n) {
+    return "(int o) lid (int i) [ \"set <<o>> <<i>>\" ];\n"
+           "int a = lid(" + std::to_string(n) + ");\n"
+           "int b = a + 1;\n"
+           "int c = b * 2;\n"
+           "int d = c - 3;\n"
+           "printf(\"r=%d\", d);\n";
+  };
+  std::vector<RequestHandle> handles;
+  handles.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) handles.push_back(service.submit(program(i % 8)));
+  for (int i = 0; i < kRequests; ++i) {
+    const RequestResult& r = handles[i].wait();
+    ASSERT_NE(r.kind, turbine::RequestErrorKind::kDeadlock) << "request " << i << ": " << r.error;
+    ASSERT_TRUE(r.ok()) << "request " << i << ": " << r.error;
+    ASSERT_EQ(r.lines.size(), 1u) << "request " << i;
+    EXPECT_EQ(r.lines[0], "r=" + std::to_string(2 * (i % 8) - 1)) << "request " << i;
+  }
+  service.shutdown();
+  ServiceStats s = service.stats();
+  EXPECT_EQ(s.completed, static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(s.failed, 0u);
+}
+
+// A write-behind store that fails at run time (x is assigned on a branch
+// that does run) fails its own request as a DataError, whether the store
+// ran in an engine rule body (x = 2) or in a worker leaf (x = lid(2)); the
+// requests submitted beside them succeed, and the resident world keeps
+// serving.
+TEST(Serve, RuntimeDataErrorFailsOnlyItsRequest) {
+  Service service(small_config(/*engines=*/2, /*workers=*/2));
+  service.enter();
+  const auto bad_source = [](const std::string& rhs) {
+    return R"(
+    (int o) lid (int i) [ "set <<o>> <<i>>" ];
+    int c = lid(1);
+    int x = 1;
+    if (c == 1) {
+      x = )" + rhs + R"(;
+    }
+    printf("x=%d", x);
+  )";
+  };
+  std::vector<RequestHandle> good;
+  for (int i = 0; i < 4; ++i) {
+    good.push_back(service.submit("printf(\"g=%d\", " + std::to_string(i) + ");"));
+  }
+  std::vector<RequestHandle> bad;
+  bad.push_back(service.submit(bad_source("2")));
+  bad.push_back(service.submit(bad_source("lid(2)")));
+  for (int i = 4; i < 8; ++i) {
+    good.push_back(service.submit("printf(\"g=%d\", " + std::to_string(i) + ");"));
+  }
+  for (RequestHandle& h : bad) {
+    const RequestResult& rb = h.wait();
+    EXPECT_FALSE(rb.ok());
+    EXPECT_EQ(rb.kind, turbine::RequestErrorKind::kData) << rb.error;
+    EXPECT_NE(rb.error.find("double assignment"), std::string::npos) << rb.error;
+    EXPECT_THROW(h.get(), DataError);
+  }
+  // The second store ran on a worker, inside its leaf task.
+  EXPECT_NE(bad[1].wait().error.find("failed on rank"), std::string::npos) << bad[1].wait().error;
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(good[i].get().lines.at(0), "g=" + std::to_string(i));
+  }
+  // The world is still up: a request submitted after the failures runs.
+  EXPECT_EQ(service.submit(R"(printf("after=%d", 1);)").get().lines.at(0), "after=1");
+  service.shutdown();
+  ServiceStats s = service.stats();
+  EXPECT_EQ(s.failed, 2u);
+  EXPECT_EQ(s.completed, 11u);
 }
 
 TEST(Serve, ProgramCacheCompilesOnce) {
@@ -624,6 +711,15 @@ foreach i in [0:n] {
   service.shutdown();
   EXPECT_EQ(sorted(r.lines), expected);
   EXPECT_EQ(published(), batch_counters);
+  // ... and so does the resident run: request datum ops are write-behind
+  // too, so it buffers at least every op the batch run buffers (plus the
+  // service's own program-text datum).
+  const uint64_t resident_pipeline_ops = obs::metrics().counter("adlb.pipeline_ops").value();
+  std::printf("[ parity   ] adlb.pipeline_ops: batch %llu, resident %llu\n",
+              static_cast<unsigned long long>(batch.pipeline_stats.ops),
+              static_cast<unsigned long long>(resident_pipeline_ops));
+  EXPECT_GT(resident_pipeline_ops, 0u);
+  EXPECT_GE(resident_pipeline_ops, batch.pipeline_stats.ops);
 }
 
 }  // namespace
