@@ -101,10 +101,10 @@ HotReadResult run_hot_read(int readers, int servers, int repeats, int cache_mb,
       return;
     }
     // Readers block until the datum closes (subscribe delivers a targeted
-    // notification unit), so no reader races the store.
-    if (!client.subscribe(id, adlb::kTypeWork)) {
-      (void)client.get(adlb::kTypeWork);
-    }
+    // notification unit, at once if it is closed already), so no reader
+    // races the store.
+    client.subscribe(id, adlb::kTypeWork);
+    (void)client.get(adlb::kTypeWork);
     Timer t;
     for (int i = 0; i < repeats; ++i) {
       if (client.retrieve(id).size() != payload.size()) std::abort();

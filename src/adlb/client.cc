@@ -322,12 +322,32 @@ std::optional<WorkUnit> Client::get(int type) {
     Op op = static_cast<Op>(r.get_u8());
     if (op == Op::kShutdownClient) return std::nullopt;
     if (op == Op::kError) raise_error(r);
+    // A close notification may carry its datum's value (protocol.h). The
+    // reply buffer becomes the cache's storage, as in multi_retrieve;
+    // moving it leaves the bytes `r` reads where they are.
+    std::shared_ptr<const std::vector<std::byte>> storage;
+    const auto read_unit = [&] {
+      WorkUnit u = read_work_unit(r);
+      if ((u.flags & kUnitNotify) != 0 && r.get_bool()) {
+        const size_t len = r.get_u64();
+        const size_t off = r.position();
+        r.skip(len);
+        const bool cacheable = r.get_bool();
+        const uint64_t epoch = r.get_u64();
+        if (cacheable && cache_enabled_) {
+          if (!storage) storage = std::make_shared<const std::vector<std::byte>>(std::move(reply_));
+          cache_insert(std::stoll(u.payload), EntryKind::kScalar, epoch,
+                       ser::SharedBytes{storage, off, len});
+        }
+      }
+      return u;
+    };
     if (op == Op::kGotWork) {
-      unit = read_work_unit(r);
+      unit = read_unit();
     } else if (op == Op::kGotWorkBatch) {
       uint64_t n = r.get_u64();
-      unit = read_work_unit(r);
-      for (uint64_t i = 1; i < n; ++i) prefetched_.push_back(read_work_unit(r));
+      unit = read_unit();
+      for (uint64_t i = 1; i < n; ++i) prefetched_.push_back(read_unit());
     } else {
       throw CommError("adlb: unexpected reply to Get");
     }
@@ -395,6 +415,7 @@ ser::SharedBytes Client::retrieve_view(int64_t id) {
   ser::Writer w = comm_.writer();
   w.put_u8(static_cast<uint8_t>(Op::kRetrieve));
   w.put_i64(id);
+  ++pipeline_stats_.sync_rpcs;
   ser::Reader r = rpc(owner_server(id, comm_.size(), cfg_), std::move(w));
   Op op = static_cast<Op>(r.get_u8());
   if (op == Op::kError) raise_data_error(id, r.get_str());
@@ -436,6 +457,7 @@ std::vector<std::string> Client::multi_retrieve(std::span<const int64_t> ids) {
     w.put_u8(static_cast<uint8_t>(Op::kMultiRetrieve));
     w.put_u64(idxs.size());
     for (size_t i : idxs) w.put_i64(ids[i]);
+    ++pipeline_stats_.sync_rpcs;
     ser::Reader r = rpc(server, std::move(w));
     Op op = static_cast<Op>(r.get_u8());
     if (op == Op::kError) raise_error(r);
@@ -482,6 +504,7 @@ bool Client::exists(int64_t id) {
   ser::Writer w = comm_.writer();
   w.put_u8(static_cast<uint8_t>(Op::kExists));
   w.put_i64(id);
+  ++pipeline_stats_.sync_rpcs;
   ser::Reader r = rpc(owner_server(id, comm_.size(), cfg_), std::move(w));
   Op op = static_cast<Op>(r.get_u8());
   if (op == Op::kValue) return r.get_bool();
@@ -493,6 +516,7 @@ DataType Client::type_of(int64_t id) {
   ser::Writer w = comm_.writer();
   w.put_u8(static_cast<uint8_t>(Op::kTypeOf));
   w.put_i64(id);
+  ++pipeline_stats_.sync_rpcs;
   ser::Reader r = rpc(owner_server(id, comm_.size(), cfg_), std::move(w));
   Op op = static_cast<Op>(r.get_u8());
   if (op == Op::kValue) return static_cast<DataType>(r.get_u8());
@@ -508,16 +532,13 @@ void Client::close(int64_t id) {
   pipeline_note_op(server);
 }
 
-bool Client::subscribe(int64_t id, int notify_type) {
-  ser::Writer w = comm_.writer();
+void Client::subscribe(int64_t id, int notify_type) {
+  const int server = owner_server(id, comm_.size(), cfg_);
+  ser::Writer& w = pipeline_writer(server);
   w.put_u8(static_cast<uint8_t>(Op::kSubscribe));
   w.put_i64(id);
   w.put_i32(notify_type);
-  ser::Reader r = rpc(owner_server(id, comm_.size(), cfg_), std::move(w));
-  Op op = static_cast<Op>(r.get_u8());
-  if (op == Op::kValue) return r.get_bool();
-  if (op == Op::kError) raise_error(r);
-  throw CommError("adlb: unexpected reply to Subscribe");
+  pipeline_note_op(server);
 }
 
 void Client::ref_incr(int64_t id, int delta) {
@@ -557,6 +578,7 @@ std::optional<std::string> Client::lookup(int64_t container_id, std::string_view
   w.put_u8(static_cast<uint8_t>(Op::kLookup));
   w.put_i64(container_id);
   w.put_str(key);
+  ++pipeline_stats_.sync_rpcs;
   ser::Reader r = rpc(owner_server(container_id, comm_.size(), cfg_), std::move(w));
   Op op = static_cast<Op>(r.get_u8());
   if (op == Op::kValue) return r.get_str();
@@ -622,6 +644,7 @@ std::vector<std::pair<std::string, std::string>> Client::enumerate(int64_t conta
   ser::Writer w = comm_.writer();
   w.put_u8(static_cast<uint8_t>(Op::kEnumerate));
   w.put_i64(container_id);
+  ++pipeline_stats_.sync_rpcs;
   ser::Reader r = rpc(owner_server(container_id, comm_.size(), cfg_), std::move(w));
   Op op = static_cast<Op>(r.get_u8());
   if (op == Op::kError) raise_data_error(container_id, r.get_str());

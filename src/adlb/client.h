@@ -1,9 +1,9 @@
 // The client (engine/worker) side of ADLB: task Put/Get plus the typed
-// data store operations Turbine is built on. Reads, subscribes, Get and
-// targeted puts are synchronous RPCs to a server; the ack-only datum ops
-// are write-behind (see the pipeline section below). Get blocks until
-// work arrives or the servers detect global quiescence and shut the run
-// down.
+// data store operations Turbine is built on. Reads, Get and targeted puts
+// are synchronous RPCs to a server; the ack-only datum ops, subscribe
+// included, are write-behind (see the pipeline section below). Get blocks
+// until work arrives or the servers detect global quiescence and shut the
+// run down.
 #pragma once
 
 #include <cstdint>
@@ -41,16 +41,22 @@ struct DataCacheStats {
 };
 
 // Activity counters for the write-behind datum pipeline (published as the
-// adlb.pipeline_* metrics). Every ack-only datum op counts, in any run.
+// adlb.pipeline_* metrics), and the synchronous data RPCs it cannot take:
+// the reads that block this rank on a server reply. Every ack-only datum
+// op counts, in any run.
 struct DataPipelineStats {
   uint64_t ops = 0;      // ack-only datum ops buffered
   uint64_t flushes = 0;  // kDataBatch messages shipped
   uint64_t stalls = 0;   // ships that had to drain an ack first (window full)
+  uint64_t sync_rpcs = 0;  // retrieve, multi_retrieve (one per server),
+                           // exists, typeof, lookup and enumerate RPCs;
+                           // cache hits make none
 
   static constexpr StatField<DataPipelineStats> kFields[] = {
       {"adlb.pipeline_ops", &DataPipelineStats::ops},
       {"adlb.pipeline_flushes", &DataPipelineStats::flushes},
       {"adlb.pipeline_stalls", &DataPipelineStats::stalls},
+      {"adlb.sync_data_rpcs", &DataPipelineStats::sync_rpcs},
   };
   DataPipelineStats& operator+=(const DataPipelineStats& o) { return add_stats(*this, o); }
 };
@@ -115,9 +121,12 @@ class Client {
   void close(int64_t id);
 
   // Registers for a close notification, delivered later as a targeted
-  // work unit of `notify_type` whose payload is the decimal id. Returns
-  // true if the datum is already closed (no notification will follow).
-  bool subscribe(int64_t id, int notify_type);
+  // work unit of `notify_type` whose payload is the decimal id — at once
+  // if the datum is already closed. Write-behind: a missing datum
+  // surfaces as a deferred DataError. When the datum's owner is this
+  // rank's home server, the notification also carries a small value into
+  // the datum cache, so the retrieve that follows it makes no RPC.
+  void subscribe(int64_t id, int notify_type);
 
   // Reference counts. Read refs reaching zero delete the datum; write
   // refs reaching zero close it (container completion).

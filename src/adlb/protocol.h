@@ -16,15 +16,16 @@
 // invariant that a parked client has no messages in flight, so only
 // server<->server traffic needs to be counted.
 //
-// The ack-only datum ops (create/store/close/ref_incr/write_incr/insert)
-// exist only as kDataBatch sub-ops. Every one of them is write-behind:
-// buffered per owning server, shipped before any other request leaves
-// the client (so cross-client read-after-write still holds through task
-// causality), and acknowledged by one coalesced kAckBatch per batch.
-// Server errors surface as DataError at the client's next synchronous
-// boundary.
+// The ack-only datum ops (create/store/close/subscribe/ref_incr/
+// write_incr/insert) exist only as kDataBatch sub-ops. Every one of them
+// is write-behind: buffered per owning server, shipped before any other
+// request leaves the client (so cross-client read-after-write still holds
+// through task causality), and acknowledged by one coalesced kAckBatch
+// per batch. Server errors surface as DataError at the client's next
+// synchronous boundary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -57,10 +58,15 @@ inline constexpr int kNotificationPriority = 1 << 20;
 // kDataBatch ships on its own (any synchronous exchange also ships
 // partial batches); at most kDataPipelineWindow shipped batches per
 // server wait for their kAckBatch before the client stalls on the oldest.
+// A close notification delivered by the datum's owning shard carries the
+// value of a closed scalar of at most kNotifyValueBytes bytes (see the
+// Get replies below), so the rule it fires reads its input from the
+// client's datum cache instead of a retrieve round trip.
 inline constexpr int kPutBatchUnits = 16;
 inline constexpr int kGetBatchUnits = 4;
 inline constexpr uint32_t kDataBatchOps = 16;
 inline constexpr int kDataPipelineWindow = 8;
+inline constexpr size_t kNotifyValueBytes = 256;
 
 struct Config {
   int nservers = 1;
@@ -114,6 +120,10 @@ inline constexpr uint8_t kUnitReqBegin = 4;  // request seed: the target engine
                                              // becomes the owner, begins the
                                              // request, and evaluates the
                                              // payload as its entry script
+inline constexpr uint8_t kUnitNotify = 8;    // close notification: the payload
+                                             // is the datum id, and a Get reply
+                                             // follows the unit with its
+                                             // carried-value record
 
 // A unit of work travelling through ADLB.
 struct WorkUnit {
@@ -131,7 +141,8 @@ struct WorkUnit {
   int owner = kAnyRank;    // engine rank owning the request's accounting
   int64_t prog = 0;        // datum id of the request's program text (0 = the
                            // payload is self-contained)
-  uint8_t flags = 0;       // kUnitServeCtl / kUnitCounted
+  uint8_t flags = 0;       // kUnitServeCtl / kUnitCounted / kUnitReqBegin /
+                           // kUnitNotify
 };
 
 // Typed data store (the ADLB data extension Turbine uses).
@@ -207,7 +218,9 @@ enum class Op : uint8_t {
   kRetrieve = 12,
   kExists = 13,
   kCloseDatum = 14, // kDataBatch sub-op only
-  kSubscribe = 15,
+  kSubscribe = 15,  // kDataBatch sub-op only; i32 notify type. An open datum
+                    // records the subscriber; a closed one queues the close
+                    // notification at once (counted like a close's)
   kRefIncr = 16,    // kDataBatch sub-op only; signed delta; datum deleted
                     // at zero read refs
   kWriteIncr = 17,  // kDataBatch sub-op only; signed delta; datum closed at
@@ -227,7 +240,12 @@ enum class Op : uint8_t {
   // server -> client responses
   kAck = 40,
   kError = 41,
-  kGotWork = 42,
+  kGotWork = 42,       // one unit. Every kUnitNotify unit in a kGotWork or
+                       // kGotWorkBatch reply is followed by its carried-
+                       // value record: bool carried, then (if carried) the
+                       // datum's retrieve result (str value, bool cacheable,
+                       // u64 GC epoch). It is read at delivery, never at
+                       // close (docs/datastore.md)
   kShutdownClient = 43,
   kValue = 44,
   kNoValue = 45,

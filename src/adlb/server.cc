@@ -7,6 +7,7 @@
 #include "ckpt/ckpt.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -332,11 +333,28 @@ void Server::accept_unit(WorkUnit unit) {
       std::make_pair(-unit.priority, seq_++), unit);
 }
 
+void Server::write_delivered(ser::Writer& w, int client, const WorkUnit& unit) {
+  write_work_unit(w, unit);
+  if ((unit.flags & kUnitNotify) == 0) return;
+  // The carried value is read here, as the unit enters the client's reply
+  // channel, never at close: a GC between the two must not leave bytes
+  // in flight that its invalidation (an earlier reply) cannot reach. Only
+  // the owning shard knows the datum; a notice it forwarded arrives bare.
+  const std::optional<int64_t> id = str::parse_int(unit.payload);
+  auto it = id ? store_.find(*id) : store_.end();
+  const bool carried = it != store_.end() &&
+                       owner_server(*id, comm_.size(), cfg_) == comm_.rank() &&
+                       it->second.closed && it->second.has_value &&
+                       it->second.value.size() <= kNotifyValueBytes;
+  w.put_bool(carried);
+  if (carried) write_retrieve_result(w, client, *id, it->second);
+}
+
 void Server::deliver(int client, const WorkUnit& unit) {
   obs::RequestScope rscope(unit.req);
   ser::Writer w = reply_writer(client);
   w.put_u8(static_cast<uint8_t>(Op::kGotWork));
-  write_work_unit(w, unit);
+  write_delivered(w, client, unit);
   comm_.send(client, kTagResponse, std::move(w));
   ++stats_.matches;
   obs::instant(obs::EventKind::kTaskDispatch, unit.id, client);
@@ -359,7 +377,7 @@ void Server::deliver_batch(int client, std::vector<WorkUnit>& units) {
   w.put_u64(units.size());
   for (const WorkUnit& unit : units) {
     obs::RequestScope rscope(unit.req);
-    write_work_unit(w, unit);
+    write_delivered(w, client, unit);
     ++stats_.matches;
     obs::instant(obs::EventKind::kTaskDispatch, unit.id, client);
   }
@@ -789,6 +807,17 @@ Server::Datum& Server::find_datum(int64_t id, const char* op) {
   return it->second;
 }
 
+void Server::notify(int64_t id, int rank, int notify_type) {
+  WorkUnit unit;
+  unit.type = notify_type;
+  unit.priority = kNotificationPriority;
+  unit.target = rank;
+  unit.payload = std::to_string(id);
+  unit.flags = kUnitNotify;
+  accept_unit(std::move(unit));
+  ++stats_.notifications;
+}
+
 uint32_t Server::do_close(int64_t id, Datum& datum, int rpc_source) {
   datum.closed = true;
   if (!datum.subscribers.empty()) {
@@ -797,13 +826,7 @@ uint32_t Server::do_close(int64_t id, Datum& datum, int rpc_source) {
   }
   uint32_t self_notifications = 0;
   for (const auto& [rank, notify_type] : datum.subscribers) {
-    WorkUnit unit;
-    unit.type = notify_type;
-    unit.priority = kNotificationPriority;
-    unit.target = rank;
-    unit.payload = std::to_string(id);
-    accept_unit(unit);
-    ++stats_.notifications;
+    notify(id, rank, notify_type);
     if (rank == rpc_source) ++self_notifications;
   }
   datum.subscribers.clear();
@@ -915,6 +938,20 @@ uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, ser::Reader&
       }
       return d.write_refs == 0 ? do_close(id, d, source) : 0;
     }
+    case Op::kSubscribe: {
+      int notify_type = r.get_i32();
+      Datum& d = find_datum(id, "subscribe");
+      if (d.closed) {
+        // The same targeted notification a close would have queued, and
+        // the same self-notify credit on the kAckBatch: a closed input
+        // reaches the subscriber through the one notification path.
+        notify(id, source, notify_type);
+        return 1;
+      }
+      obs::instant(obs::EventKind::kDataSubscribe, id, source);
+      d.subscribers.emplace_back(source, notify_type);
+      return 0;
+    }
     case Op::kInsert: {
       std::string key = r.get_str();
       std::string value = r.get_str();
@@ -1002,20 +1039,6 @@ void Server::handle_data_op(int source, Op op, ser::Reader& r) {
         ser::Writer w = reply_writer(source);
         w.put_u8(static_cast<uint8_t>(Op::kValue));
         w.put_u8(static_cast<uint8_t>(d.type));
-        comm_.send(source, kTagResponse, std::move(w));
-        return;
-      }
-      case Op::kSubscribe: {
-        int64_t id = r.get_i64();
-        int notify_type = r.get_i32();
-        Datum& d = find_datum(id, "subscribe");
-        ser::Writer w = reply_writer(source);
-        w.put_u8(static_cast<uint8_t>(Op::kValue));
-        w.put_bool(d.closed);
-        if (!d.closed) {
-          obs::instant(obs::EventKind::kDataSubscribe, id, source);
-          d.subscribers.emplace_back(source, notify_type);
-        }
         comm_.send(source, kTagResponse, std::move(w));
         return;
       }

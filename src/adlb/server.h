@@ -153,6 +153,11 @@ class Server {
   // Accepts a unit that belongs on this server (or forwards a targeted
   // unit to its home server).
   void accept_unit(WorkUnit unit);
+  // Writes a unit into a Get reply to `client`. A close notification is
+  // followed by its carried-value record (protocol.h): the datum's
+  // retrieve result when this shard owns it and it is alive, closed and
+  // holds a value of at most kNotifyValueBytes.
+  void write_delivered(ser::Writer& w, int client, const WorkUnit& unit);
   void deliver(int client, const WorkUnit& unit);
   // One kGotWorkBatch reply carrying several units (the Get fast path;
   // under ft every worker holds one unit at a time, see handle_get).
@@ -168,15 +173,18 @@ class Server {
   void flush_forwards();
 
   // ---- data ----
-  // The synchronous datum ops: reads, subscribe and the serve sweeps.
+  // The synchronous datum ops: reads and the serve sweeps.
   void handle_data_op(int source, Op op, ser::Reader& r);
-  // Performs one kDataBatch sub-op (create/store/close/ref_incr/
-  // write_incr/insert on datum `id`); returns how many close
+  // Performs one kDataBatch sub-op (create/store/close/subscribe/
+  // ref_incr/write_incr/insert on datum `id`); returns how many close
   // notifications it queued back to `source`. Throws DataError on
   // failure — always after fully consuming the sub-op's arguments, so the
   // batch loop can catch and keep parsing.
   uint32_t apply_data_mutation(int source, Op op, int64_t id, ser::Reader& r);
   Datum& find_datum(int64_t id, const char* op);
+  // Queues one close notification for `id`: a targeted kUnitNotify unit
+  // of `notify_type` for `rank`, whose payload is the decimal id.
+  void notify(int64_t id, int rank, int notify_type);
   // Closes the datum and queues one notification unit per subscriber.
   // Returns how many of those notifications target `rpc_source` itself:
   // the count rides back on the kAckBatch so an owner engine can account
@@ -184,8 +192,8 @@ class Server {
   // maybe_spawn_notice).
   uint32_t do_close(int64_t id, Datum& datum, int rpc_source);
   // Appends one retrieve result (value, cacheable flag, GC epoch) and
-  // records the handout when cacheable (shared by kRetrieve and
-  // kMultiRetrieve).
+  // records the handout when cacheable (shared by kRetrieve,
+  // kMultiRetrieve and a notification's carried value).
   void write_retrieve_result(ser::Writer& w, int source, int64_t id, const Datum& d);
   uint64_t epoch_of(int64_t id) const;
   // Refcount GC: bump the id's epoch and queue an invalidation for every

@@ -196,33 +196,45 @@ void Context::register_commands() {
   });
 
   // -- store --
-  in.register_command("turbine::store_integer", [ctx](tcl::Interp&, Args& a) {
+  // A datum an engine closes itself is known closed there at once: rules
+  // on it fire without waiting for a notification.
+  const auto store_datum = [ctx](const std::string& id_arg, std::string_view value) {
+    const int64_t id = want_id(id_arg);
+    ctx->client_.store(id, value);
+    if (ctx->engine_ != nullptr) ctx->engine_->note_closed(id);
+  };
+  const auto close_datum = [ctx](const std::string& id_arg) {
+    const int64_t id = want_id(id_arg);
+    ctx->client_.close(id);
+    if (ctx->engine_ != nullptr) ctx->engine_->note_closed(id);
+  };
+  in.register_command("turbine::store_integer", [store_datum](tcl::Interp&, Args& a) {
     tcl::check_arity(a, 2, 2, "id value");
     auto v = str::parse_int(a[2]);
     if (!v) throw tcl::TclError("store_integer: \"" + a[2] + "\" is not an integer");
-    ctx->client_.store(want_id(a[1]), std::to_string(*v));
+    store_datum(a[1], std::to_string(*v));
     return std::string();
   });
-  in.register_command("turbine::store_float", [ctx](tcl::Interp&, Args& a) {
+  in.register_command("turbine::store_float", [store_datum](tcl::Interp&, Args& a) {
     tcl::check_arity(a, 2, 2, "id value");
     auto v = str::parse_double(a[2]);
     if (!v) throw tcl::TclError("store_float: \"" + a[2] + "\" is not a number");
-    ctx->client_.store(want_id(a[1]), str::format_double(*v));
+    store_datum(a[1], str::format_double(*v));
     return std::string();
   });
-  in.register_command("turbine::store_string", [ctx](tcl::Interp&, Args& a) {
+  in.register_command("turbine::store_string", [store_datum](tcl::Interp&, Args& a) {
     tcl::check_arity(a, 2, 2, "id value");
-    ctx->client_.store(want_id(a[1]), a[2]);
+    store_datum(a[1], a[2]);
     return std::string();
   });
-  in.register_command("turbine::store_blob", [ctx](tcl::Interp&, Args& a) {
+  in.register_command("turbine::store_blob", [ctx, store_datum](tcl::Interp&, Args& a) {
     tcl::check_arity(a, 2, 2, "id blobHandle");
-    ctx->client_.store(want_id(a[1]), ctx->blobs_.get(a[2]).to_string());
+    store_datum(a[1], ctx->blobs_.get(a[2]).to_string());
     return std::string();
   });
-  in.register_command("turbine::store_void", [ctx](tcl::Interp&, Args& a) {
+  in.register_command("turbine::store_void", [close_datum](tcl::Interp&, Args& a) {
     tcl::check_arity(a, 1, 1, "id");
-    ctx->client_.close(want_id(a[1]));
+    close_datum(a[1]);
     return std::string();
   });
 
@@ -258,9 +270,9 @@ void Context::register_commands() {
     tcl::check_arity(a, 1, 1, "id");
     return std::string(adlb::data_type_name(ctx->client_.type_of(want_id(a[1]))));
   });
-  in.register_command("turbine::close", [ctx](tcl::Interp&, Args& a) {
+  in.register_command("turbine::close", [close_datum](tcl::Interp&, Args& a) {
     tcl::check_arity(a, 1, 1, "id");
-    ctx->client_.close(want_id(a[1]));
+    close_datum(a[1]);
     return std::string();
   });
 

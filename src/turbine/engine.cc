@@ -33,22 +33,16 @@ void Engine::add_rule(const std::vector<int64_t>& inputs, std::string action, Ta
   int64_t rule_id = next_id_++;
   for (int64_t input : inputs) {
     if (closed_.count(input) > 0) continue;
-    auto it = watchers_.find(input);
-    if (it != watchers_.end()) {
-      // Already subscribed and still open.
-      it->second.push_back(rule_id);
-      ++rule.waiting;
-      continue;
-    }
+    // Every input not known closed waits for its notification. The first
+    // watcher subscribes, write-behind: the engine never blocks here, and
+    // an input that is closed already is notified at once.
+    std::vector<int64_t>& watching = watchers_[input];
+    watching.push_back(rule_id);
+    ++rule.waiting;
+    if (watching.size() > 1) continue;
     ++stats_.subscribes;
     touch(rule.req, input);
-    if (client_.subscribe(input, adlb::kTypeControl)) {
-      // Closed already; no notification will come.
-      closed_.insert(input);
-      continue;
-    }
-    watchers_[input].push_back(rule_id);
-    ++rule.waiting;
+    client_.subscribe(input, adlb::kTypeControl);
   }
 
   if (rule.waiting == 0) {
@@ -95,6 +89,17 @@ void Engine::notify_closed(int64_t id) {
       release(std::move(rule));
     }
   }
+}
+
+void Engine::note_closed(int64_t id) {
+  closed_.insert(id);
+  touch(client_.serve_ctx().req, id);
+}
+
+EngineStats Engine::stats() const {
+  EngineStats s = stats_;
+  s.sync_data_rpcs = client_.pipeline_stats().sync_rpcs;
+  return s;
 }
 
 void Engine::name_datum(int64_t id, std::string name, int line) {

@@ -5,7 +5,11 @@
 // released — submitted to ADLB as a control task (runs on some engine), a
 // work task (runs on a worker), or executed locally. Engines learn about
 // closure through ADLB subscribe notifications, which arrive as targeted
-// control tasks whose payload is the datum id.
+// control tasks whose payload is the datum id; a datum this engine closed
+// itself counts as closed at once. Subscribing is write-behind, so
+// registering a rule never blocks the engine on a server reply, and a
+// notification from the datum's home shard brings a small value into the
+// datum cache for the rule body's retrieve.
 //
 // Serve multiplexing (src/serve): the engine tracks rules, subscriptions
 // and symbol names per request namespace, and keeps a credit-based
@@ -50,6 +54,8 @@ struct EngineStats {
   uint64_t rules_fired_immediately = 0;  // all inputs already closed
   uint64_t notifications = 0;
   uint64_t subscribes = 0;
+  uint64_t sync_data_rpcs = 0;  // the engine rank's blocking data RPCs
+                                // (adlb::DataPipelineStats::sync_rpcs)
 
   static constexpr StatField<EngineStats> kFields[] = {
       {"engine.rules_created", &EngineStats::rules_created},
@@ -57,6 +63,7 @@ struct EngineStats {
       {"engine.rules_fired_immediately", &EngineStats::rules_fired_immediately},
       {"engine.notifications", &EngineStats::notifications},
       {"engine.subscribes", &EngineStats::subscribes},
+      {"engine.sync_data_rpcs", &EngineStats::sync_data_rpcs},
   };
   EngineStats& operator+=(const EngineStats& o) { return add_stats(*this, o); }
 };
@@ -113,16 +120,22 @@ class Engine {
   explicit Engine(adlb::Client& client) : client_(client) {}
 
   // Registers a rule under the client's ambient request namespace.
-  // Subscribes to unready inputs; if everything is already closed the
-  // action is released at once. Local actions released synchronously are
-  // queued on local_ready() rather than executed here, so the caller
-  // controls reentrancy.
+  // Subscribes (write-behind) to inputs not known closed; if every input
+  // is known closed the action is released at once. A subscribe to a
+  // missing datum surfaces as a DataError at the client's next sync
+  // point. Local actions released synchronously are queued on
+  // local_ready() rather than executed here, so the caller controls
+  // reentrancy.
   void add_rule(const std::vector<int64_t>& inputs, std::string action, TaskType type,
                 int target = adlb::kAnyRank, int priority = 0);
 
   // Handles a close notification for `id` (the payload of a notification
   // control task). Fires any rules that became ready.
   void notify_closed(int64_t id);
+
+  // Records that this engine stored or closed `id` itself, so later rules
+  // on it fire without a notification round trip.
+  void note_closed(int64_t id);
 
   // Actions of kLocal rules that became ready; the engine loop drains
   // this queue and evaluates each script, then calls local_done().
@@ -145,7 +158,7 @@ class Engine {
   // Meaningful once the run has terminated with pending_rules() > 0.
   std::vector<StuckRule> stuck_report() const;
 
-  const EngineStats& stats() const { return stats_; }
+  EngineStats stats() const;
 
   // ---- serve request accounting (this engine = the request's owner) ----
 
@@ -220,7 +233,7 @@ class Engine {
   int64_t next_id_ = 1;
   std::unordered_map<int64_t, Rule> rules_;
   std::unordered_map<int64_t, std::vector<int64_t>> watchers_;  // datum -> rule ids
-  std::unordered_set<int64_t> closed_;  // ids known closed (subscribe said so or notified)
+  std::unordered_set<int64_t> closed_;  // ids known closed (notified, or closed here)
   std::unordered_map<int64_t, StuckInput> names_;  // datum -> source symbol
   std::deque<LocalAction> local_ready_;
   EngineStats stats_;

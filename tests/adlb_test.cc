@@ -262,14 +262,17 @@ TEST(AdlbData, VoidFutureCloseAndSubscribe) {
   run(1, 1, [](Client& c) {
     int64_t id = c.unique();
     c.create(id, DataType::kVoid);
-    EXPECT_FALSE(c.subscribe(id, kTypeControl));
+    c.subscribe(id, kTypeControl);
     c.close(id);
     // Notification arrives as a targeted control task with the id.
     auto unit = c.get(kTypeControl);
     ASSERT_TRUE(unit.has_value());
     EXPECT_EQ(unit->payload, std::to_string(id));
-    // Subscribing after close reports already-closed.
-    EXPECT_TRUE(c.subscribe(id, kTypeControl));
+    // Subscribing after close queues the notification at once.
+    c.subscribe(id, kTypeControl);
+    auto again = c.get(kTypeControl);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->payload, std::to_string(id));
     EXPECT_FALSE(c.get(kTypeControl).has_value());
   });
 }
@@ -282,13 +285,11 @@ TEST(AdlbData, SubscribeAcrossRanks) {
       c.create(id, DataType::kInteger);
       c.put({kTypeWork, 0, 1, kAnyRank, std::to_string(id)});  // tell rank 1
       // Rank 1 may store (and close) before or after we subscribe; both
-      // orders are legal. A notification arrives only in the second case.
-      bool already_closed = c.subscribe(id, kTypeControl);
-      if (!already_closed) {
-        auto notif = c.get(kTypeControl);
-        ASSERT_TRUE(notif.has_value());
-        EXPECT_EQ(notif->payload, std::to_string(id));
-      }
+      // orders are legal, and either way one notification arrives.
+      c.subscribe(id, kTypeControl);
+      auto notif = c.get(kTypeControl);
+      ASSERT_TRUE(notif.has_value());
+      EXPECT_EQ(notif->payload, std::to_string(id));
       EXPECT_EQ(c.retrieve(id), "77");
       EXPECT_FALSE(c.get(kTypeControl).has_value());
     } else {
@@ -321,7 +322,7 @@ TEST(AdlbData, WriteRefcountClosesContainer) {
     c.write_incr(id, 1);  // writers: 2
     c.insert(id, "a", "1");
     c.insert(id, "b", "2");
-    EXPECT_FALSE(c.subscribe(id, kTypeControl));
+    c.subscribe(id, kTypeControl);
     c.write_incr(id, -1);
     c.insert(id, "c", "3");  // still open, one writer left
     c.write_incr(id, -1);    // closes

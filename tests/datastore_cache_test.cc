@@ -277,6 +277,63 @@ TEST(DatumCache, NoStaleReadAcrossIdReuse) {
   EXPECT_GE(total.invalidations, static_cast<uint64_t>(kReaders) * (kRounds - 1));
 }
 
+// A close notification carries its datum's value into the subscriber's
+// cache, read at delivery. Here the subscriber leaves each notification
+// queued while the datum is stored, closed, deleted by its last read ref
+// and re-created with a new value: the next retrieve must see the new
+// incarnation (or fail), never the bytes the close produced. A value
+// attached at close time would be cached stale: the deletion's
+// invalidation leaves on an earlier reply, before the value is cached.
+TEST(DatumCache, CarriedValueNeverStaleAcrossIdReuse) {
+  const int kRounds = 50;
+  const int64_t id = 888;
+  std::atomic<int> stale{0};
+  std::atomic<int> carried_hits{0};
+  run(2, 1, 64, [&](Client& c) {
+    if (c.rank() == 0) {  // the writer
+      for (int r = 0; r < kRounds; ++r) {
+        c.create(id, DataType::kString);
+        c.put({kTypeWork, 0, 1, kAnyRank, "subscribe"});
+        ASSERT_TRUE(c.get(kTypeWork).has_value());  // the reader subscribed
+        c.store(id, "old-" + std::to_string(r));    // queues the notification
+        c.ref_incr(id, -1);                          // deletes the datum
+        c.create(id, DataType::kString);
+        c.store(id, "new-" + std::to_string(r));
+        c.put({kTypeWork, 0, 1, kAnyRank, "new-" + std::to_string(r)});
+        ASSERT_TRUE(c.get(kTypeWork).has_value());  // the reader has read
+        c.ref_incr(id, -1);  // delete the new incarnation before the next round
+        while (c.exists(id)) {
+        }
+      }
+      EXPECT_FALSE(c.get(kTypeWork).has_value());
+      return;
+    }
+    while (auto unit = c.get(kTypeWork)) {  // the reader
+      ASSERT_EQ(unit->payload, "subscribe");
+      c.subscribe(id, kTypeControl);
+      c.sync();  // the subscription is registered before the store
+      c.put({kTypeWork, 0, 0, kAnyRank, "subscribed"});
+      // Waiting for work, not control: the notification stays queued.
+      auto expected = c.get(kTypeWork);
+      ASSERT_TRUE(expected.has_value());
+      auto notification = c.get(kTypeControl);
+      ASSERT_TRUE(notification.has_value());
+      EXPECT_EQ(notification->payload, std::to_string(id));
+      const uint64_t hits = c.cache_stats().hits;
+      try {
+        if (c.retrieve(id) != expected->payload) stale.fetch_add(1);
+      } catch (const DataError&) {
+        // Failing is allowed; serving the deleted bytes is not.
+      }
+      if (c.cache_stats().hits > hits) carried_hits.fetch_add(1);
+      c.put({kTypeWork, 0, 0, kAnyRank, "read"});
+    }
+  });
+  EXPECT_EQ(stale.load(), 0);
+  // The reader took the new incarnation's value from the notification.
+  EXPECT_EQ(carried_hits.load(), kRounds);
+}
+
 // End to end: the runner sums per-rank cache stats and a Turbine program
 // that re-reads a datum produces hits (zero when the cache is off, with
 // identical output).

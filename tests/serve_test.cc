@@ -308,6 +308,45 @@ TEST(Serve, RuntimeDataErrorFailsOnlyItsRequest) {
   EXPECT_EQ(s.completed, 11u);
 }
 
+// Subscribing is write-behind, so a rule on a datum nobody created fails
+// at the request's sync point, not inside turbine::rule: only that request
+// fails, as a DataError, and the requests beside it and after it run. The
+// faulty rule comes from an extension command (a stand-in for a lowering
+// bug) that takes over `trace` on every rank.
+TEST(Serve, RuleOnMissingDatumFailsOnlyItsRequest) {
+  ServeConfig cfg = small_config();
+  cfg.runtime.setup_interp = [](tcl::Interp& in) {
+    in.register_command("trace", [](tcl::Interp& interp, std::vector<std::string>&) {
+      interp.eval("turbine::rule [list 987654321] {puts never} type LOCAL");
+      return std::string();
+    });
+  };
+  Service service(cfg);
+  service.enter();
+  std::vector<RequestHandle> good;
+  for (int i = 0; i < 3; ++i) {
+    good.push_back(service.submit("printf(\"g=%d\", " + std::to_string(i) + ");"));
+  }
+  RequestHandle bad = service.submit(R"(trace("ghost");)");
+  for (int i = 3; i < 6; ++i) {
+    good.push_back(service.submit("printf(\"g=%d\", " + std::to_string(i) + ");"));
+  }
+  const RequestResult& rb = bad.wait();
+  EXPECT_FALSE(rb.ok());
+  EXPECT_EQ(rb.kind, turbine::RequestErrorKind::kData) << rb.error;
+  EXPECT_NE(rb.error.find("subscribe: datum <987654321> does not exist"), std::string::npos)
+      << rb.error;
+  EXPECT_THROW(bad.get(), DataError);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(good[i].get().lines.at(0), "g=" + std::to_string(i));
+  }
+  EXPECT_EQ(service.submit(R"(printf("after=%d", 1);)").get().lines.at(0), "after=1");
+  service.shutdown();
+  ServiceStats s = service.stats();
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.completed, 8u);
+}
+
 TEST(Serve, ProgramCacheCompilesOnce) {
   Service service(small_config());
   service.enter();

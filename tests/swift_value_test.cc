@@ -835,6 +835,22 @@ TEST(ValueBudget, Fig1PipelineStaysWithinRoundTripBudget) {
   EXPECT_EQ(result.unfired_rules, 0u);
 }
 
+// The engine registers rules write-behind and takes each rule input's
+// value from its close notification, so the fig1 pipeline's rule bodies
+// make (almost) no blocking data RPC on the engine: the `if` reads gt and
+// the taken branch reads t from the datum cache.
+TEST(ValueBudget, Fig1EngineMakesAlmostNoBlockingDataRpcs) {
+  constexpr uint64_t kPipelines = 128;
+  runtime::Config cfg = world();
+  cfg.data_cache_mb = 64;
+  auto result = runtime::run_program(cfg, compile(kFig1));
+  EXPECT_EQ(result.unfired_rules, 0u);
+  EXPECT_GT(result.engine_stats.subscribes, 0u);
+  EXPECT_LE(result.engine_stats.sync_data_rpcs, kPipelines / 2);
+  // The workers still read their inputs through the RPC (every g(t)).
+  EXPECT_GE(result.pipeline_stats.sync_rpcs, result.engine_stats.sync_data_rpcs + kPipelines);
+}
+
 TEST(ValueBudget, AllLiteralProgramCreatesNoRulesAndNoData) {
   auto result = runtime::run_program(world(), compile(R"(printf("%d", 3 + 4 * 2);)"));
   ASSERT_EQ(result.lines.size(), 1u);

@@ -200,6 +200,51 @@ TEST(Rules, UnfiredRulesThrowDeadlockError) {
                DeadlockError);
 }
 
+// Subscribing is write-behind: a rule on a datum nobody created does not
+// fail inside turbine::rule but at the engine's next sync point, here the
+// retrieve's round trip, and the DataError fails the batch run.
+TEST(Rules, RuleOnMissingDatumFailsAtNextSyncPoint) {
+  runtime::Config cfg = small();
+  std::vector<std::string> marks;  // appended by the engine thread only
+  cfg.setup_interp = [&marks](tcl::Interp& in) {
+    in.register_command("mark", [&marks](tcl::Interp&, std::vector<std::string>& a) {
+      marks.push_back(a.at(1));
+      return std::string();
+    });
+  };
+  try {
+    runtime::run_program(cfg, R"(
+      turbine::rule [list 987654321] {puts never} type WORK
+      mark registered
+      set x [turbine::allocate integer]
+      turbine::store_integer $x 1
+      mark "read [turbine::retrieve_integer $x]"
+    )");
+    FAIL() << "expected DataError";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find("subscribe: datum <987654321> does not exist"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(marks, std::vector<std::string>{"registered"});
+}
+
+// A rule on a created datum that is never stored is still the stuck-
+// future deadlock, reported with the variable's name and line.
+TEST(Rules, StuckFutureDeadlockNamesTheVariable) {
+  try {
+    runtime::run_program(small(), R"(
+      set never [turbine::allocate integer]
+      turbine::declare_name $never never 7
+      turbine::rule [list $never] {puts should_not_run} type WORK
+    )");
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"never\" (line 7"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Rules, RejectedOnWorkers) {
   EXPECT_THROW(runtime::run_program(small(), R"(
     turbine::put_work {turbine::rule [list 1] {puts x} type WORK}
