@@ -7,13 +7,11 @@
 //  - what does recovery cost as a function of WHERE the fault lands?
 //    A 400-leaf-task program (20 waves of 20) is killed when its engine
 //    takes its Nth close notification (the Nth closed future, so about N
-//    tasks into the run); run_with_faults restarts from the newest
+//    tasks into the run); run_program restarts from the newest
 //    checkpoint and replays only tasks that had not completed. Later
 //    faults mean more checkpointed progress, fewer replayed tasks, and
-//    recovery time that tracks the remaining (not the total) work.
-//  - what does fault tolerance cost when nothing fails? The same program
-//    run by run_program and by run_with_faults (no plan, no checkpoints):
-//    the ratio of their median times.
+//    recovery time that tracks the remaining (not the total) work,
+//    reported against the median fault-free run.
 #include <algorithm>
 #include <filesystem>
 #include <string>
@@ -138,27 +136,14 @@ int main() {
     cfg.workers = 4;
     cfg.servers = 1;
     const std::string program = wave_program(tasks, 20);
-    // Fault-free cost of fault tolerance: the same program through both
-    // drivers, interleaved, median of kReps runs each.
+    // The fault-free baseline: median of kReps runs.
     constexpr int kReps = 21;
     std::vector<double> plain_s;
-    std::vector<double> ft_s;
     for (int i = 0; i < kReps; ++i) {
       plain_s.push_back(runtime::run_program(cfg, program).elapsed_seconds);
-      ft_s.push_back(runtime::run_with_faults(cfg, program).elapsed_seconds);
     }
     const double base = median(plain_s);
-    const double ft_base = median(ft_s);
-    bench::JsonLine("faults_fault_free")
-        .add("tasks", tasks)
-        .add("runs", kReps)
-        .add("plain_s", base)
-        .add("ft_s", ft_base)
-        .add("ft_over_plain", ft_base / base)
-        .print();
-    std::printf("\nfault-free, %d tasks (median of %d): run_program %.4f s, "
-                "run_with_faults %.4f s, ratio %.2fx\n\n",
-                tasks, kReps, base, ft_base, ft_base / base);
+    std::printf("\nfault-free, %d tasks (median of %d): %.4f s\n\n", tasks, kReps, base);
 
     // The engine's Nth unit is the Nth closed future (wave_program).
     bench::Table t({"fault_at_unit", "attempts", "ckpts", "replay_skips", "replayed",
@@ -169,7 +154,7 @@ int main() {
       fcfg.fault_plan.kill_rank(/*rank=*/0, /*at_unit=*/static_cast<uint64_t>(at));
       fcfg.ckpt_interval = 16;
       fcfg.ckpt_dir = dir.string();
-      runtime::RunResult r = runtime::run_with_faults(fcfg, program);
+      runtime::RunResult r = runtime::run_program(fcfg, program);
       fs::remove_all(dir);
       bench::JsonLine("faults_recovery")
           .add("fault_at_unit", at)

@@ -70,7 +70,7 @@ int main() {
   // Scenario 1: kill worker rank 2 when it takes its 10th task.
   ilps::runtime::Config kill_cfg = base_config();
   kill_cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/10);
-  const auto killed = ilps::runtime::run_with_faults(kill_cfg, kProgram);
+  const auto killed = ilps::runtime::run_program(kill_cfg, kProgram);
   std::printf("worker killed:   %s   (dead ranks: %zu, requeues: %llu)\n",
               killed.lines.empty() ? "?" : killed.lines[0].c_str(), killed.ft.dead_ranks.size(),
               static_cast<unsigned long long>(killed.server_stats.requeues));
@@ -84,7 +84,7 @@ int main() {
   restart_cfg.fault_plan.kill_rank(/*rank=*/0, /*at_unit=*/100);
   restart_cfg.ckpt_interval = 10;
   restart_cfg.ckpt_dir = dir.string();
-  const auto restarted = ilps::runtime::run_with_faults(restart_cfg, kProgram);
+  const auto restarted = ilps::runtime::run_program(restart_cfg, kProgram);
   fs::remove_all(dir);
   std::printf("engine restart:  %s   (attempts: %d, replayed: %llu, skipped: %llu)\n",
               restarted.lines.empty() ? "?" : restarted.lines[0].c_str(), restarted.ft.attempts,

@@ -1,5 +1,6 @@
 #include "adlb/client.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -32,6 +33,10 @@ Client::Client(mpi::Comm& comm, const Config& cfg) : comm_(comm), cfg_(cfg) {
 
 ser::Reader Client::rpc(int server, ser::Writer&& request) {
   flush_puts();
+  return exchange(server, request.take());
+}
+
+ser::Reader Client::exchange(int server, std::vector<std::byte>&& request) {
   comm_.send(server, kTagRequest, std::move(request));
   // Outstanding kAckBatch replies from this server were queued ahead of
   // the real reply (per-(source, tag) FIFO): drain them first.
@@ -49,18 +54,20 @@ ser::Reader Client::rpc(int server, ser::Writer&& request) {
 
 // ---- write-behind datum pipeline ----
 
-ser::Writer& Client::pipeline_writer(int server) {
+ser::Writer& Client::pipeline_writer(int server, Op op) {
   Pipe& p = pipes_[server];
   if (p.count == 0) {
     p.buf = comm_.writer();
     p.buf.put_u8(static_cast<uint8_t>(Op::kDataBatch));
     p.buf.put_u64(0);  // placeholder; count rides separately
   }
+  p.buf.put_u8(static_cast<uint8_t>(op) | task_.replay_mark);
   return p.buf;
 }
 
 void Client::pipeline_note_op(int server) {
   ++pipeline_stats_.ops;
+  task_.dirty = true;
   if (++pipes_[server].count >= kDataBatchOps) pipeline_ship(server);
 }
 
@@ -105,9 +112,13 @@ void Client::pipeline_drain_one(int server) {
     const uint32_t n = r.get_u32();
     if (serve_.req != 0 && on_self_notify_) on_self_notify_(serve_.req, id, n);
   }
-  if (!r.get_bool()) {
+  const auto status = static_cast<AckStatus>(r.get_u8());
+  if (status != AckStatus::kOk) {
     std::string err = r.get_str();
-    if (deferred_error_.empty()) deferred_error_ = std::move(err);
+    if (deferred_error_.empty()) {
+      deferred_error_ = std::move(err);
+      deferred_repeated_ = status == AckStatus::kRepeated;
+    }
   }
   --pipes_[server].unacked;
 }
@@ -130,7 +141,49 @@ void Client::maybe_throw_deferred() {
   if (deferred_error_.empty()) return;
   std::string err = std::move(deferred_error_);
   deferred_error_.clear();
+  if (deferred_repeated_) throw RepeatedWriteError(std::move(err));
   throw DataError(std::move(err));
+}
+
+// ---- worker task boundaries ----
+
+void Client::begin_task(const WorkUnit& unit) {
+  task_ = Task{unit.id, true, false, unit.attempts > 0 ? kReplayMark : uint8_t{0}};
+}
+
+void Client::finish_task() {
+  // A task's refcount deltas go out only once its other writes and its
+  // puts are accepted, so a failed task never applies them. The common
+  // task (a few writes in one batch) skips this round trip: the server
+  // ignores a task-done that follows a failed sub-op in its batch.
+  bool unacked = false;
+  for (const auto& [server, p] : pipes_) unacked = unacked || p.unacked > 0;
+  if (!held_refs_.empty() || pending_put_count_ > 0 || unacked) {
+    flush_puts();
+    sync();
+  }
+  for (const auto& [id, delta] : held_refs_) send_ref_incr(id, delta);
+  held_refs_.clear();
+  if (task_.dirty) {
+    ser::Writer& w = pipeline_writer(home_, Op::kTaskDone);
+    w.put_i64(task_.id);
+    ++pipes_[home_].count;  // not a datum op: pipeline_stats_.ops skips it
+  }
+  task_ = Task{};
+  sync();
+}
+
+void Client::fail_task() {
+  // Nothing the failed attempt left unsent goes out: a retry issues it
+  // again. Batches already shipped are drained, their errors dropped.
+  held_refs_.clear();
+  pending_put_count_ = 0;
+  for (auto& [server, p] : pipes_) p.count = 0;
+  task_ = Task{};
+  try {
+    sync();
+  } catch (const DataError&) {
+  }
 }
 
 // ---- datum cache ----
@@ -168,11 +221,10 @@ const Client::CacheEntry* Client::cache_lookup(int64_t id, EntryKind kind) {
 void Client::cache_insert(int64_t id, EntryKind kind, uint64_t epoch, ser::SharedBytes bytes) {
   if (!cache_enabled_) return;
   cache_erase(id);
-  // Charge the view length plus fixed overhead. Shared storage can be
-  // somewhat larger than the views into it (reply framing, sibling
-  // entries already evicted); the budget is a working-set bound, not an
-  // exact RSS accounting.
-  const size_t charge = bytes.len + kCacheEntryOverhead;
+  // Charge what the entry keeps alive: a zero-copy view pins its whole
+  // reply buffer, however few of its bytes the value is. (Views that
+  // share one buffer are each charged for all of it.)
+  const size_t charge = std::max(bytes.len, bytes.storage->capacity()) + kCacheEntryOverhead;
   if (charge > cache_budget_) return;
   while (cache_bytes_ + charge > cache_budget_ && !lru_.empty()) {
     ++cache_stats_.evictions;
@@ -180,13 +232,13 @@ void Client::cache_insert(int64_t id, EntryKind kind, uint64_t epoch, ser::Share
   }
   lru_.push_front(id);
   cache_bytes_ += charge;
-  cache_.emplace(id, CacheEntry{kind, epoch, std::move(bytes), lru_.begin()});
+  cache_.emplace(id, CacheEntry{kind, epoch, charge, std::move(bytes), lru_.begin()});
 }
 
 void Client::cache_erase(int64_t id) {
   auto it = cache_.find(id);
   if (it == cache_.end()) return;
-  cache_bytes_ -= it->second.bytes.len + kCacheEntryOverhead;
+  cache_bytes_ -= it->second.charge;
   lru_.erase(it->second.lru);
   cache_.erase(it);
 }
@@ -247,27 +299,28 @@ void Client::put(const WorkUnit& unit_in) {
   // unit's arrival is observable by its target outside ADLB (e.g. the
   // answer-rank pattern: put to rank R, then block in a raw recv for R's
   // reply), so deferring it could deadlock; it goes out synchronously,
-  // after the buffer (rpc() flushes first) to preserve program order.
+  // behind the units buffered before it, to preserve program order.
   // Exception: an owner engine's control put retargeted at itself by the
   // affinity rule above has no outside observer (this rank is both the
   // putter and the target, and rpc() flushes before its next Get), so it
   // keeps the batched fast path.
   const bool self_control =
       unit.req != 0 && unit.type == kTypeControl && unit.target == comm_.rank();
-  if (unit.target == kAnyRank || self_control) {
-    if (pending_put_count_ == 0) {
-      pending_puts_ = comm_.writer();
-      pending_puts_.put_u8(static_cast<uint8_t>(Op::kPutBatch));
-      pending_puts_.put_u64(0);  // placeholder; count rides separately
-    }
-    write_work_unit(pending_puts_, unit);
-    if (++pending_put_count_ >= kPutBatchUnits) flush_puts();
-    return;
+  task_.dirty = true;
+  buffer_put(unit);
+  if (pending_put_count_ >= kPutBatchUnits || (unit.target != kAnyRank && !self_control)) {
+    flush_puts();
   }
-  ser::Writer w = comm_.writer();
-  w.put_u8(static_cast<uint8_t>(Op::kPut));
-  write_work_unit(w, unit);
-  expect_ack(rpc(home_, std::move(w)));
+}
+
+void Client::buffer_put(const WorkUnit& unit) {
+  if (pending_put_count_ == 0) {
+    pending_puts_ = comm_.writer();
+    pending_puts_.put_u8(static_cast<uint8_t>(Op::kPutBatch));
+    pending_puts_.put_u64(0);  // placeholder; count rides separately
+  }
+  write_work_unit(pending_puts_, unit);
+  ++pending_put_count_;
 }
 
 void Client::flush_puts() {
@@ -284,14 +337,7 @@ void Client::flush_puts() {
   const uint64_t n = static_cast<uint64_t>(pending_put_count_);
   std::memcpy(buf.data() + 1, &n, sizeof n);
   pending_put_count_ = 0;
-  comm_.send(home_, kTagRequest, std::move(buf));
-  pipeline_drain(home_);
-  mpi::Message reply = comm_.recv(home_, kTagResponse);
-  ser::Reader r(reply.data);
-  apply_invalidations(r);
-  expect_ack(r);
-  comm_.recycle(std::move(reply.data));
-  maybe_throw_deferred();
+  expect_ack(exchange(home_, std::move(buf)));
 }
 
 std::optional<WorkUnit> Client::get(int type) {
@@ -323,8 +369,10 @@ std::optional<WorkUnit> Client::get(int type) {
     if (op == Op::kShutdownClient) return std::nullopt;
     if (op == Op::kError) raise_error(r);
     // A close notification may carry its datum's value (protocol.h). The
-    // reply buffer becomes the cache's storage, as in multi_retrieve;
-    // moving it leaves the bytes `r` reads where they are.
+    // reply buffer becomes the cache's storage, as in retrieve_views, and
+    // each entry is charged for all of it. (A copy per value costs the
+    // resident service's engine a malloc per notification, and measurably
+    // more peak RSS.) Moving the buffer leaves the bytes `r` reads in place.
     std::shared_ptr<const std::vector<std::byte>> storage;
     const auto read_unit = [&] {
       WorkUnit u = read_work_unit(r);
@@ -342,15 +390,10 @@ std::optional<WorkUnit> Client::get(int type) {
       }
       return u;
     };
-    if (op == Op::kGotWork) {
-      unit = read_unit();
-    } else if (op == Op::kGotWorkBatch) {
-      uint64_t n = r.get_u64();
-      unit = read_unit();
-      for (uint64_t i = 1; i < n; ++i) prefetched_.push_back(read_unit());
-    } else {
-      throw CommError("adlb: unexpected reply to Get");
-    }
+    if (op != Op::kGotWorkBatch) throw CommError("adlb: unexpected reply to Get");
+    const uint64_t n = r.get_u64();
+    unit = read_unit();
+    for (uint64_t i = 1; i < n; ++i) prefetched_.push_back(read_unit());
   }
   // Every unit this rank takes ticks the FaultPlan clock, so a planned
   // fault lands at the same logical point however frames are batched.
@@ -359,21 +402,17 @@ std::optional<WorkUnit> Client::get(int type) {
 }
 
 void Client::flush_prefetch() {
-  while (!prefetched_.empty()) {
-    WorkUnit unit = std::move(prefetched_.front());
-    prefetched_.pop_front();
-    ser::Writer w = comm_.writer();
-    w.put_u8(static_cast<uint8_t>(Op::kPut));
-    write_work_unit(w, unit);
-    expect_ack(rpc(home_, std::move(w)));
-  }
+  if (prefetched_.empty()) return;
+  for (const WorkUnit& unit : prefetched_) buffer_put(unit);
+  prefetched_.clear();
+  flush_puts();
 }
 
 void Client::task_failed(const WorkUnit& unit, const std::string& why) {
   ser::Writer w = comm_.writer();
   w.put_u8(static_cast<uint8_t>(Op::kTaskFailed));
   write_work_unit(w, unit);
-  w.put_str("rank " + std::to_string(comm_.rank()) + ": " + why);
+  w.put_str(why);
   expect_ack(rpc(home_, std::move(w)));
 }
 
@@ -384,8 +423,7 @@ int64_t Client::unique() {
 
 void Client::create(int64_t id, DataType type) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  ser::Writer& w = pipeline_writer(server);
-  w.put_u8(static_cast<uint8_t>(Op::kCreate));
+  ser::Writer& w = pipeline_writer(server, Op::kCreate);
   w.put_i64(id);
   w.put_u8(static_cast<uint8_t>(type));
   // Datums created while a request evaluates here belong to its
@@ -396,8 +434,7 @@ void Client::create(int64_t id, DataType type) {
 
 void Client::store(int64_t id, std::string_view value, bool close) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  ser::Writer& w = pipeline_writer(server);
-  w.put_u8(static_cast<uint8_t>(Op::kStore));
+  ser::Writer& w = pipeline_writer(server, Op::kStore);
   w.put_i64(id);
   w.put_bool(close);
   w.put_str(value);
@@ -406,47 +443,24 @@ void Client::store(int64_t id, std::string_view value, bool close) {
 
 std::string Client::retrieve(int64_t id) { return retrieve_view(id).to_string(); }
 
-ser::SharedBytes Client::retrieve_view(int64_t id) {
-  if (const CacheEntry* e = cache_lookup(id, EntryKind::kScalar)) {
-    ++cache_stats_.hits;
-    return e->bytes;
-  }
-  if (cache_enabled_) ++cache_stats_.misses;
-  ser::Writer w = comm_.writer();
-  w.put_u8(static_cast<uint8_t>(Op::kRetrieve));
-  w.put_i64(id);
-  ++pipeline_stats_.sync_rpcs;
-  ser::Reader r = rpc(owner_server(id, comm_.size(), cfg_), std::move(w));
-  Op op = static_cast<Op>(r.get_u8());
-  if (op == Op::kError) raise_data_error(id, r.get_str());
-  if (op != Op::kValue) throw CommError("adlb: unexpected reply to Retrieve");
-  const size_t vlen = r.get_u64();
-  const size_t voff = r.position();
-  r.skip(vlen);
-  const bool cacheable = r.get_bool();
-  const uint64_t epoch = r.get_u64();
-  if (cacheable && cache_enabled_) {
-    // Zero copy: the reply buffer itself becomes the cached storage; the
-    // view addresses the value bytes in place.
-    ser::SharedBytes bytes{
-        std::make_shared<const std::vector<std::byte>>(std::move(reply_)), voff, vlen};
-    cache_insert(id, EntryKind::kScalar, epoch, bytes);
-    return bytes;
-  }
-  return ser::SharedBytes::own(
-      {reply_.begin() + static_cast<ptrdiff_t>(voff),
-       reply_.begin() + static_cast<ptrdiff_t>(voff + vlen)});
-}
+ser::SharedBytes Client::retrieve_view(int64_t id) { return std::move(retrieve_views({&id, 1})[0]); }
 
 std::vector<std::string> Client::multi_retrieve(std::span<const int64_t> ids) {
-  std::vector<std::string> out(ids.size());
+  std::vector<std::string> out;
+  out.reserve(ids.size());
+  for (const ser::SharedBytes& v : retrieve_views(ids)) out.push_back(v.to_string());
+  return out;
+}
+
+std::vector<ser::SharedBytes> Client::retrieve_views(std::span<const int64_t> ids) {
+  std::vector<ser::SharedBytes> out(ids.size());
   // Serve what the cache holds, then group the misses by owning server —
   // one RPC each (ordered so batch formation is deterministic).
   std::map<int, std::vector<size_t>> by_server;
   for (size_t i = 0; i < ids.size(); ++i) {
     if (const CacheEntry* e = cache_lookup(ids[i], EntryKind::kScalar)) {
       ++cache_stats_.hits;
-      out[i] = e->bytes.to_string();
+      out[i] = e->bytes;
       continue;
     }
     if (cache_enabled_) ++cache_stats_.misses;
@@ -482,19 +496,21 @@ std::vector<std::string> Client::multi_retrieve(std::span<const int64_t> ids) {
       slots.push_back({i, voff, vlen, cacheable, epoch});
       any_cacheable = any_cacheable || cacheable;
     }
-    // Steal the reply buffer once; every cacheable entry in this batch
-    // becomes a view into it at its own offset.
+    // Zero copy: when anything in it is cached, the reply buffer itself
+    // becomes the storage, and every value is a view into it at its own
+    // offset. Otherwise each value is copied out.
     std::shared_ptr<const std::vector<std::byte>> storage;
     if (any_cacheable && cache_enabled_) {
       storage = std::make_shared<const std::vector<std::byte>>(std::move(reply_));
     }
-    for (Slot& s : slots) {
-      const std::byte* base = storage ? storage->data() : reply_.data();
-      out[s.idx].assign(reinterpret_cast<const char*>(base + s.off), s.len);
-      if (storage && s.cacheable) {
-        cache_insert(ids[s.idx], EntryKind::kScalar, s.epoch,
-                     ser::SharedBytes{storage, s.off, s.len});
+    for (const Slot& s : slots) {
+      if (!storage) {
+        const auto value = reply_.begin() + static_cast<ptrdiff_t>(s.off);
+        out[s.idx] = ser::SharedBytes::own({value, value + static_cast<ptrdiff_t>(s.len)});
+        continue;
       }
+      out[s.idx] = ser::SharedBytes{storage, s.off, s.len};
+      if (s.cacheable) cache_insert(ids[s.idx], EntryKind::kScalar, s.epoch, out[s.idx]);
     }
   }
   return out;
@@ -526,16 +542,14 @@ DataType Client::type_of(int64_t id) {
 
 void Client::close(int64_t id) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  ser::Writer& w = pipeline_writer(server);
-  w.put_u8(static_cast<uint8_t>(Op::kCloseDatum));
+  ser::Writer& w = pipeline_writer(server, Op::kCloseDatum);
   w.put_i64(id);
   pipeline_note_op(server);
 }
 
 void Client::subscribe(int64_t id, int notify_type) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  ser::Writer& w = pipeline_writer(server);
-  w.put_u8(static_cast<uint8_t>(Op::kSubscribe));
+  ser::Writer& w = pipeline_writer(server, Op::kSubscribe);
   w.put_i64(id);
   w.put_i32(notify_type);
   pipeline_note_op(server);
@@ -546,9 +560,16 @@ void Client::ref_incr(int64_t id, int delta) {
   // copy up front rather than waiting for the piggybacked invalidation
   // that follows if this decrement turns out to be the last.
   if (delta < 0) cache_erase(id);
+  if (task_.open) {
+    held_refs_.emplace_back(id, delta);
+    return;
+  }
+  send_ref_incr(id, delta);
+}
+
+void Client::send_ref_incr(int64_t id, int delta) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  ser::Writer& w = pipeline_writer(server);
-  w.put_u8(static_cast<uint8_t>(Op::kRefIncr));
+  ser::Writer& w = pipeline_writer(server, Op::kRefIncr);
   w.put_i64(id);
   w.put_i32(delta);
   pipeline_note_op(server);
@@ -556,8 +577,7 @@ void Client::ref_incr(int64_t id, int delta) {
 
 void Client::write_incr(int64_t id, int delta) {
   const int server = owner_server(id, comm_.size(), cfg_);
-  ser::Writer& w = pipeline_writer(server);
-  w.put_u8(static_cast<uint8_t>(Op::kWriteIncr));
+  ser::Writer& w = pipeline_writer(server, Op::kWriteIncr);
   w.put_i64(id);
   w.put_i32(delta);
   pipeline_note_op(server);
@@ -565,8 +585,7 @@ void Client::write_incr(int64_t id, int delta) {
 
 void Client::insert(int64_t container_id, std::string_view key, std::string_view value) {
   const int server = owner_server(container_id, comm_.size(), cfg_);
-  ser::Writer& w = pipeline_writer(server);
-  w.put_u8(static_cast<uint8_t>(Op::kInsert));
+  ser::Writer& w = pipeline_writer(server, Op::kInsert);
   w.put_i64(container_id);
   w.put_str(key);
   w.put_str(value);

@@ -82,6 +82,20 @@ class Client {
   // typed error naming the task and rank.
   void task_failed(const WorkUnit& unit, const std::string& why);
 
+  // ---- worker task boundaries (recovery) ----
+  // begin_task opens the task that runs `unit` (a unit the server tracks,
+  // so it may be requeued). While it is open, a retry (attempts > 0)
+  // marks its write-behind ops as replays, and read refcount deltas are
+  // held back. finish_task sends the deltas once the task's writes and
+  // puts are accepted, tells the home server the unit is done (if the
+  // task sent anything), and syncs: it throws the task's deferred
+  // DataError, a RepeatedWriteError when no retry may mask it.
+  // fail_task drops what the task left unsent (a retry issues it again)
+  // and drains the rest, swallowing its errors.
+  void begin_task(const WorkUnit& unit);
+  void finish_task();
+  void fail_task();
+
   // ---- Data ----
 
   // Allocates a globally unique datum id without server communication
@@ -193,6 +207,7 @@ class Client {
   struct CacheEntry {
     EntryKind kind;
     uint64_t epoch = 0;
+    size_t charge = 0;  // bytes counted against the budget
     ser::SharedBytes bytes;
     std::list<int64_t>::iterator lru;  // position in lru_ (front = hottest)
   };
@@ -202,7 +217,13 @@ class Client {
   // detector's invariant. The reply buffer lives in reply_ until the next
   // rpc() recycles it into the transport's freelist.
   ser::Reader rpc(int server, ser::Writer&& request);
+  // retrieve_view and multi_retrieve: shared views of the values in input
+  // order, cache hits served locally.
+  std::vector<ser::SharedBytes> retrieve_views(std::span<const int64_t> ids);
+  // The exchange itself, without the put flush.
+  ser::Reader exchange(int server, std::vector<std::byte>&& request);
   void flush_puts();
+  void buffer_put(const WorkUnit& unit);  // appends to the kPutBatch buffer
 
   // ---- write-behind datum pipeline (kDataPipelineWindow) ----
   // Every ack-only datum op is appended to a per-owning-server kDataBatch
@@ -214,15 +235,17 @@ class Client {
   // op. Batched server errors surface as a DataError thrown at the next
   // synchronous boundary (rpc / flush_puts / sync); a kAckBatch's
   // self-notification counts go to on_self_notify as it drains.
-  // Returns the batch buffer for `server`, opening a new kDataBatch frame
-  // if needed; the caller appends one sub-op then calls pipeline_note_op.
-  ser::Writer& pipeline_writer(int server);
+  // Returns the batch buffer for `server` with sub-op `op` begun, opening
+  // a new kDataBatch frame if needed; the caller appends the sub-op's
+  // datum id and arguments, then calls pipeline_note_op.
+  ser::Writer& pipeline_writer(int server, Op op);
   void pipeline_note_op(int server);
   void pipeline_ship(int server);       // send the buffered batch, windowed
   void pipeline_ship_all();
   void pipeline_drain_one(int server);  // consume one outstanding kAckBatch
   void pipeline_drain(int server);      // ... all of them for one server
   void maybe_throw_deferred();
+  void send_ref_incr(int64_t id, int delta);
 
   // ---- cache internals ----
   // Drains the invalidation header every reply starts with (protocol.h).
@@ -256,7 +279,18 @@ class Client {
   };
   std::unordered_map<int, Pipe> pipes_;   // owning server rank -> state
   std::string deferred_error_;            // first batched failure, pending
+  bool deferred_repeated_ = false;        // ... reported as AckStatus::kRepeated
   DataPipelineStats pipeline_stats_;
+
+  // ---- open worker task (begin_task .. finish_task / fail_task) ----
+  struct Task {
+    int64_t id = 0;
+    bool open = false;
+    bool dirty = false;          // it buffered a datum op or a put
+    uint8_t replay_mark = 0;     // kReplayMark on a retry
+  };
+  Task task_;
+  std::vector<std::pair<int64_t, int>> held_refs_;  // (id, read refcount delta)
 
   // ---- datum cache state (empty when cache_enabled_ is false) ----
   bool cache_enabled_ = false;

@@ -31,6 +31,7 @@
 #include <string>
 
 #include "common/buffer.h"
+#include "common/error.h"
 #include "mpi/comm.h"
 
 namespace ilps::adlb {
@@ -84,14 +85,12 @@ struct Config {
   // so a recycled id never serves stale bytes (see docs/datastore.md).
   int data_cache_mb = -1;
 
-  // ---- fault tolerance (the src/ckpt substrate) ----
-  // When ft is set the server tracks in-flight work per client, requeues
-  // a dead client's unit (bounded by max_task_retries), treats replayed
-  // data ops as idempotent, and — if ckpt_interval > 0 — checkpoints the
-  // data store every ckpt_interval completed leaf tasks into ckpt_dir.
-  // Clients talk to the servers exactly as without ft: batching, the
-  // datum pipeline and the datum cache stay on.
-  bool ft = false;
+  // ---- recovery (the src/ckpt substrate; on in every run) ----
+  // The server tracks the units each worker holds, requeues a dead or
+  // failed worker's unfinished units (bounded by max_task_retries),
+  // accepts a repeated write only as a replay (see kDataBatch), and — if
+  // ckpt_interval > 0 — checkpoints the data store every ckpt_interval
+  // completed leaf tasks into ckpt_dir.
   int nengines = 1;              // client ranks < nengines are engines:
                                  // their death is unrecoverable in place
   int max_task_retries = 2;      // per-unit requeue budget
@@ -134,7 +133,7 @@ struct WorkUnit {
   std::string payload;
   int64_t id = 0;          // server-assigned identity (0 = not yet assigned);
                            // names the unit in retry bookkeeping and errors
-  int attempts = 0;        // delivery attempts so far (fault tolerance)
+  int attempts = 0;        // delivery attempts so far (recovery)
 
   // ---- serve-runtime request tagging (src/serve; all zero outside it) ----
   int64_t req = 0;         // request this unit belongs to (0 = none)
@@ -205,17 +204,19 @@ inline constexpr int kTagServer = 102;    // server -> server
 
 enum class Op : uint8_t {
   // client -> server
-  kPut = 1,
   kGet = 2,
   kTaskFailed = 3,  // worker reports a leaf-task eval failure (unit + why);
                     // the server requeues it or aborts the run
-  kPutBatch = 4,    // u64 count + that many units, acked once
+  kPutBatch = 4,    // u64 count + that many units, acked once (every put;
+                    // a targeted one ships at once, behind those buffered)
   kDataBatch = 5,   // u64 count + that many ack-only datum sub-ops (each a
                     // u8 opcode, the i64 datum id, then its arguments),
-                    // answered by one kAckBatch
+                    // answered by one kAckBatch. A worker task that is a
+                    // retry (attempts > 0) ORs kReplayMark into each
+                    // opcode: only a replay may repeat a create, store,
+                    // close, write_incr or insert that already landed
   kCreate = 10,     // kDataBatch sub-op only
   kStore = 11,      // kDataBatch sub-op only
-  kRetrieve = 12,
   kExists = 13,
   kCloseDatum = 14, // kDataBatch sub-op only
   kSubscribe = 15,  // kDataBatch sub-op only; i32 notify type. An open datum
@@ -230,38 +231,58 @@ enum class Op : uint8_t {
   kEnumerate = 22,
   kTypeOf = 23,
   kMultiRetrieve = 24,  // u64 n + n ids, answered in one kValue reply with
-                        // per-id status (one RPC per server per batch)
+                        // per-id status (one RPC per server per batch; a
+                        // single retrieve is a one-id batch)
   kFreeNamespace = 25,  // i64 req: drop every datum created under that
                         // request namespace on this shard (serve GC);
                         // replies kValue with {u64 leftover, u64 stuck}
   kDatumCount = 26,     // no args; replies kValue with u64 live-datum count
                         // on this shard (serve memory-bound checks)
+  kTaskDone = 27,       // kDataBatch sub-op only, to the home server; the
+                        // "datum id" slot names the worker unit that just
+                        // finished (it and every unit delivered before it)
 
   // server -> client responses
   kAck = 40,
   kError = 41,
-  kGotWork = 42,       // one unit. Every kUnitNotify unit in a kGotWork or
-                       // kGotWorkBatch reply is followed by its carried-
-                       // value record: bool carried, then (if carried) the
-                       // datum's retrieve result (str value, bool cacheable,
-                       // u64 GC epoch). It is read at delivery, never at
-                       // close (docs/datastore.md)
   kShutdownClient = 43,
   kValue = 44,
   kNoValue = 45,
-  kGotWorkBatch = 46,  // u64 count + that many units of the Get's type
+  kGotWorkBatch = 46,  // u64 count + that many units of the Get's type (the
+                       // answer to every Get that finds work). Every
+                       // kUnitNotify unit is followed by its carried-value
+                       // record: bool carried, then (if carried) the
+                       // datum's retrieve result (str value, bool cacheable,
+                       // u64 GC epoch). It is read at delivery, never at
+                       // close (docs/datastore.md)
   kAckBatch = 47,      // acks one whole kDataBatch: u32 k + k x {i64 id,
                        // u32 n} for each sub-op that queued n > 0 close
                        // notifications back to the sender (serve
-                       // self-notify credits), then bool ok, else the first
-                       // failing sub-op's error string (surfaced client-side
-                       // as a deferred DataError at the next sync point)
+                       // self-notify credits), then a u8 AckStatus, then
+                       // unless kOk the first failing sub-op's error string
+                       // (surfaced client-side as a deferred DataError at
+                       // the next sync point)
 
   // server <-> server
   kForwardPut = 60,  // targeted or rebalanced work moving between servers
   kHungry = 61,      // this server has parked Gets and no work of a type
   kToken = 62,       // termination-detection token
   kShutdownServer = 63,
+};
+
+// Marks a kDataBatch sub-op opcode as a replay (see kDataBatch).
+inline constexpr uint8_t kReplayMark = 0x80;
+
+// How a kAckBatch ends. kRepeated is a refused write that a replay
+// would have accepted (an identical store, a second close, ...): a
+// retry of the task would be stamped a replay and mask the program's
+// error, so the task must fail the run instead of being retried.
+enum class AckStatus : uint8_t { kOk = 0, kError = 1, kRepeated = 2 };
+
+// The DataError a client raises for an AckStatus::kRepeated refusal.
+class RepeatedWriteError : public DataError {
+ public:
+  using DataError::DataError;
 };
 
 // Serialization helpers shared by client and server.

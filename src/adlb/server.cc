@@ -37,6 +37,7 @@ Server::Server(mpi::Comm& comm, const Config& cfg, const ckpt::Snapshot* restore
   announced_.assign(static_cast<size_t>(cfg.ntypes), false);
   hungry_peers_.resize(static_cast<size_t>(cfg.ntypes));
   rng_ = Rng(0xAD1Bu + static_cast<uint64_t>(index_));
+  checkpointing_ = cfg.ckpt_interval > 0 || restore_from != nullptr;
   if (restore_from != nullptr) {
     if (cfg.nservers != 1) {
       throw CommError("adlb: checkpoint restore requires nservers == 1");
@@ -47,7 +48,7 @@ Server::Server(mpi::Comm& comm, const Config& cfg, const ckpt::Snapshot* restore
 
 void Server::serve() {
   // A server with no clients of its own still shards data and rebalances.
-  const bool heartbeats = cfg_.ft && cfg_.heartbeat_timeout_ms > 0;
+  const bool heartbeats = cfg_.heartbeat_timeout_ms > 0;
   if (heartbeats) {
     const double now = comm_.wtime();
     for (int c : my_clients_) last_seen_[c] = now;
@@ -121,24 +122,14 @@ void Server::after_dispatch() {
 void Server::handle_request(const mpi::Message& m) {
   ser::Reader r = m.reader();
   Op op = static_cast<Op>(r.get_u8());
-  if (cfg_.ft) {
-    // Any RPC proves the client is alive; only Get / TaskFailed mark the
-    // in-flight unit finished (data ops happen mid-task).
+  if (cfg_.heartbeat_timeout_ms > 0) {
+    // Any RPC proves the client is alive (data ops happen mid-task).
     last_seen_[m.source] = comm_.wtime();
   }
+  // A client declared dead may still be alive (fenced off by the
+  // heartbeat): its units were requeued, so its writes repeat theirs.
+  const bool fenced = !dead_clients_.empty() && dead_clients_.count(m.source) > 0;
   switch (op) {
-    case Op::kPut: {
-      WorkUnit unit = read_work_unit(r);
-      ++stats_.puts;
-      name_unit(unit);
-      maybe_spawn_notice(unit);
-      // Attribute the accept (and the sends it triggers) to the unit's
-      // request, so server-side events stitch into the request trace.
-      obs::RequestScope rscope(unit.req);
-      obs::instant(obs::EventKind::kAdlbPut, unit.id, unit.type);
-      handle_put(m.source, unit);
-      break;
-    }
     case Op::kPutBatch: {
       uint64_t n = r.get_u64();
       std::string error;
@@ -147,6 +138,8 @@ void Server::handle_request(const mpi::Message& m) {
         ++stats_.puts;
         name_unit(unit);
         maybe_spawn_notice(unit);
+        // Attribute the accept (and the sends it triggers) to the unit's
+        // request, so server-side events stitch into the request trace.
         obs::RequestScope rscope(unit.req);
         obs::instant(obs::EventKind::kAdlbPut, unit.id, unit.type);
         if (unit.type < 0 || unit.type >= cfg_.ntypes) {
@@ -175,18 +168,31 @@ void Server::handle_request(const mpi::Message& m) {
       // sender (an owner engine's self-notify credits), then the first
       // error, which surfaces client-side as a deferred DataError.
       uint64_t n = r.get_u64();
+      AckStatus status = AckStatus::kOk;
       std::string error;
       std::vector<std::pair<int64_t, uint32_t>> self_notified;
       for (uint64_t i = 0; i < n; ++i) {
-        Op sub = static_cast<Op>(r.get_u8());
+        const uint8_t code = r.get_u8();
+        const Op sub = static_cast<Op>(code & ~kReplayMark);
+        // A restored run replays the whole engine program.
+        const bool replay = (code & kReplayMark) != 0 || restored_ || fenced;
         int64_t id = r.get_i64();
+        if (sub == Op::kTaskDone) {
+          // A task whose write failed is not done: it reports its failure.
+          if (status == AckStatus::kOk) complete_inflight(m.source, id);
+          continue;
+        }
         ++stats_.data_ops;
         try {
-          if (uint32_t k = apply_data_mutation(m.source, sub, id, r); k > 0) {
+          if (uint32_t k = apply_data_mutation(m.source, sub, id, replay, r); k > 0) {
             self_notified.emplace_back(id, k);
           }
         } catch (const DataError& e) {
-          if (error.empty()) error = e.what();
+          if (status == AckStatus::kOk) {
+            status = dynamic_cast<const RepeatedWriteError*>(&e) != nullptr ? AckStatus::kRepeated
+                                                                             : AckStatus::kError;
+            error = e.what();
+          }
         }
       }
       ser::Writer w = reply_writer(m.source);
@@ -196,8 +202,8 @@ void Server::handle_request(const mpi::Message& m) {
         w.put_i64(id);
         w.put_u32(k);
       }
-      w.put_bool(error.empty());
-      if (!error.empty()) w.put_str(error);
+      w.put_u8(static_cast<uint8_t>(status));
+      if (status != AckStatus::kOk) w.put_str(error);
       comm_.send(m.source, kTagResponse, std::move(w));
       break;
     }
@@ -205,7 +211,7 @@ void Server::handle_request(const mpi::Message& m) {
       int type = r.get_i32();
       ++stats_.gets;
       obs::instant(obs::EventKind::kAdlbGet, m.source, type);
-      if (cfg_.ft) note_completion(m.source);
+      complete_inflight(m.source);  // a Get completes the previous batch
       handle_get(m.source, type);
       break;
     }
@@ -235,23 +241,9 @@ void Server::maybe_spawn_notice(WorkUnit& unit) {
   accept_unit(std::move(notice));
 }
 
-void Server::handle_put(int source, const WorkUnit& unit) {
-  if (unit.type < 0 || unit.type >= cfg_.ntypes) {
-    reply_error(source, "put: invalid work type " + std::to_string(unit.type));
-    return;
-  }
-  try {
-    accept_unit(unit);
-  } catch (const DataError& e) {
-    reply_error(source, e.what());
-    return;
-  }
-  reply_ack(source);
-}
-
 // Name the unit once, on the first server that sees it; the id rides
 // along through forwards, requeues, and trace events (retry tracking
-// needs it under ft, the tracer always benefits from it).
+// needs it, the tracer always benefits from it).
 void Server::name_unit(WorkUnit& unit) {
   if (unit.id == 0) {
     unit.id = (static_cast<int64_t>(index_) << 48) | next_unit_id_++;
@@ -261,25 +253,23 @@ void Server::name_unit(WorkUnit& unit) {
 void Server::accept_unit(WorkUnit unit) {
   const int size = comm_.size();
   name_unit(unit);
-  if (cfg_.ft) {
-    // Restart replay: a work unit whose payload already completed before
-    // the checkpoint is not re-dispatched — its effects live in the
-    // restored store. Units that manage container write refcounts are
-    // exempt (their write_incr must re-run against the reset refcounts).
-    if (restored_ && unit.type == kTypeWork &&
-        unit.payload.find("write_incr") == std::string::npos) {
-      auto it = done_fingerprints_.find(ckpt::fingerprint(unit.payload));
-      if (it != done_fingerprints_.end() && it->second > 0) {
-        if (--it->second == 0) done_fingerprints_.erase(it);
-        ++stats_.replay_skips;
-        return;
-      }
+  // Restart replay: a work unit whose payload already completed before
+  // the checkpoint is not re-dispatched — its effects live in the
+  // restored store. Units that manage container write refcounts are
+  // exempt (their write_incr must re-run against the reset refcounts).
+  if (restored_ && unit.type == kTypeWork &&
+      unit.payload.find("write_incr") == std::string::npos) {
+    auto it = done_fingerprints_.find(ckpt::fingerprint(unit.payload));
+    if (it != done_fingerprints_.end() && it->second > 0) {
+      if (--it->second == 0) done_fingerprints_.erase(it);
+      ++stats_.replay_skips;
+      return;
     }
-    // Work targeted at a dead rank can never be delivered; release the
-    // constraint instead of deadlocking.
-    if (unit.target != kAnyRank && dead_clients_.count(unit.target) > 0) {
-      unit.target = kAnyRank;
-    }
+  }
+  // Work targeted at a dead rank can never be delivered; release the
+  // constraint instead of deadlocking.
+  if (unit.target != kAnyRank && !dead_clients_.empty() && dead_clients_.count(unit.target) > 0) {
+    unit.target = kAnyRank;
   }
   if (unit.target != kAnyRank) {
     if (unit.target < 0 || unit.target >= num_clients(size, cfg_)) {
@@ -304,7 +294,7 @@ void Server::accept_unit(WorkUnit unit) {
         }
       }
       parked_clients_.erase(parked_it);
-      deliver(unit.target, unit);
+      deliver(unit.target, {&unit, 1});
       return;
     }
     targeted_[{unit.target, unit.type}].push_back(unit);
@@ -318,7 +308,7 @@ void Server::accept_unit(WorkUnit unit) {
     int client = queue.front();
     queue.pop_front();
     parked_clients_.erase(client);
-    deliver(client, unit);
+    deliver(client, {&unit, 1});
     return;
   }
   // No local demand: relay to a hungry peer, if one announced itself.
@@ -350,38 +340,31 @@ void Server::write_delivered(ser::Writer& w, int client, const WorkUnit& unit) {
   if (carried) write_retrieve_result(w, client, *id, it->second);
 }
 
-void Server::deliver(int client, const WorkUnit& unit) {
-  obs::RequestScope rscope(unit.req);
-  ser::Writer w = reply_writer(client);
-  w.put_u8(static_cast<uint8_t>(Op::kGotWork));
-  write_delivered(w, client, unit);
-  comm_.send(client, kTagResponse, std::move(w));
-  ++stats_.matches;
-  obs::instant(obs::EventKind::kTaskDispatch, unit.id, client);
-  // Remember what each worker is running so a dead worker's unit can be
-  // requeued. Engines run control tasks (rule bodies); re-running those
-  // is not safe in place, so only worker units are tracked.
-  if (cfg_.ft && unit.type == kTypeWork && !is_engine_client(client)) {
-    inflight_[client] = unit;
-  }
-  // Delivery starts a task: measure silence from here, not from the
-  // client's last RPC. A client handed work after idling a long time in
-  // the parked queue would otherwise look instantly timed-out (its
-  // liveness-proving store arrives only after the next heartbeat check).
-  if (cfg_.ft && cfg_.heartbeat_timeout_ms > 0) last_seen_[client] = comm_.wtime();
-}
-
-void Server::deliver_batch(int client, std::vector<WorkUnit>& units) {
+void Server::deliver(int client, std::span<WorkUnit> units) {
+  // A lone unit's request owns the whole reply, send included, so the
+  // server's events stitch into the request trace.
+  obs::RequestScope rscope(units.size() == 1 ? units[0].req : log::thread_request());
   ser::Writer w = reply_writer(client);
   w.put_u8(static_cast<uint8_t>(Op::kGotWorkBatch));
   w.put_u64(units.size());
   for (const WorkUnit& unit : units) {
-    obs::RequestScope rscope(unit.req);
+    obs::RequestScope unit_scope(unit.req);
     write_delivered(w, client, unit);
     ++stats_.matches;
     obs::instant(obs::EventKind::kTaskDispatch, unit.id, client);
   }
   comm_.send(client, kTagResponse, std::move(w));
+  // Delivery starts a task: measure silence from here, not from the
+  // client's last RPC. A client handed work after idling a long time in
+  // the parked queue would otherwise look instantly timed-out (its
+  // liveness-proving store arrives only after the next heartbeat check).
+  if (cfg_.heartbeat_timeout_ms > 0) last_seen_[client] = comm_.wtime();
+  // Engines run control tasks (rule bodies); re-running those is not
+  // safe in place (an engine death restarts the run), so only worker
+  // units are tracked.
+  if (is_engine_client(client) || units[0].type != kTypeWork) return;
+  std::vector<WorkUnit>& batch = inflight_[client];
+  for (WorkUnit& unit : units) batch.push_back(std::move(unit));
 }
 
 void Server::handle_get(int source, int type) {
@@ -389,40 +372,33 @@ void Server::handle_get(int source, int type) {
     reply_error(source, "get: invalid work type " + std::to_string(type));
     return;
   }
-  if (cfg_.ft && dead_clients_.count(source) > 0) {
+  if (!dead_clients_.empty() && dead_clients_.count(source) > 0) {
     // A client declared dead by heartbeat turned out to be alive (e.g. a
-    // delayed link). Its unit was already requeued; fence it off.
+    // delayed link). Its units were already requeued; fence it off.
     ser::Writer w = reply_writer(source);
     w.put_u8(static_cast<uint8_t>(Op::kShutdownClient));
     comm_.send(source, kTagResponse, std::move(w));
     return;
   }
-  // Under ft a worker holds one unit at a time: requeue must know exactly
-  // which unit a dead worker held, and re-running a prefetched unit that
-  // had already completed would repeat its write_incr and close a
-  // container early. Engine units are never tracked (an engine death
-  // restarts the run), so engines keep the batched Get.
-  const int batch = cfg_.ft && !is_engine_client(source) ? 1 : kGetBatchUnits;
   // Targeted work first (ADLB's matching order), then untargeted by
   // priority. Targeted units can only ever go to this client, so a batch
   // takes as many as the cap allows.
   auto targeted_it = targeted_.find({source, type});
   if (targeted_it != targeted_.end() && !targeted_it->second.empty()) {
     auto& q = targeted_it->second;
-    if (batch == 1 || q.size() == 1) {
+    if (q.size() == 1) {
       WorkUnit unit = std::move(q.front());
-      q.pop_front();
-      if (q.empty()) targeted_.erase(targeted_it);
-      deliver(source, unit);
+      targeted_.erase(targeted_it);
+      deliver(source, {&unit, 1});
       return;
     }
     std::vector<WorkUnit> units;
-    while (!q.empty() && static_cast<int>(units.size()) < batch) {
+    while (!q.empty() && static_cast<int>(units.size()) < kGetBatchUnits) {
       units.push_back(std::move(q.front()));
       q.pop_front();
     }
     if (q.empty()) targeted_.erase(targeted_it);
-    deliver_batch(source, units);
+    deliver(source, units);
     return;
   }
   auto& queue = untargeted_[static_cast<size_t>(type)];
@@ -432,9 +408,9 @@ void Server::handle_get(int source, int type) {
     // Prefetch extra untargeted units, but leave half the queue behind so
     // other local clients and hungry peers still find work to take.
     const size_t extra =
-        std::min(static_cast<size_t>(batch - 1), queue.size() / 2);
+        std::min(static_cast<size_t>(kGetBatchUnits - 1), queue.size() / 2);
     if (extra == 0) {
-      deliver(source, unit);
+      deliver(source, {&unit, 1});
       return;
     }
     std::vector<WorkUnit> units;
@@ -443,7 +419,7 @@ void Server::handle_get(int source, int type) {
       units.push_back(std::move(queue.begin()->second));
       queue.erase(queue.begin());
     }
-    deliver_batch(source, units);
+    deliver(source, units);
     return;
   }
   obs::instant(obs::EventKind::kAdlbPark, source, type);
@@ -451,16 +427,20 @@ void Server::handle_get(int source, int type) {
   parked_clients_.emplace(source, type);
 }
 
-// ---- fault tolerance ----
+// ---- recovery ----
 
 void Server::handle_task_failed(int source, ser::Reader& r) {
   WorkUnit unit = read_work_unit(r);
   std::string why = r.get_str();
+  reply_ack(source);  // the worker itself is healthy and keeps serving
+  // A fenced client's units were already requeued.
+  if (dead_clients_.count(source) > 0) return;
   ++stats_.task_failures;
   obs::instant(obs::EventKind::kTaskFailed, unit.id, source);
-  inflight_.erase(source);
-  reply_ack(source);  // the worker itself is healthy and keeps serving
-  requeue_or_fail(std::move(unit), why);
+  // The units the worker ran before this one finished; the ones after it
+  // are still its to run.
+  complete_inflight(source, unit.id, /*failed=*/true);
+  requeue_or_fail(std::move(unit), source, why);
 }
 
 void Server::on_rank_dead_notice(int rank) {
@@ -481,15 +461,9 @@ void Server::on_client_dead(int client) {
   // delayed link) and blocked on a reply that will never come once the
   // run ends: doom it, so it dies at drain instead of hanging the join.
   comm_.doom(client);
-  if (!cfg_.ft) {
-    comm_.abort("ilps: rank " + std::to_string(client) +
-                " died and fault tolerance is disabled");
-    done_ = true;
-    return;
-  }
   if (is_engine_client(client)) {
     // The engine holds unserializable rule state; recovery is a restart
-    // from the latest checkpoint, driven by runtime::run_with_faults.
+    // from the latest checkpoint, driven by runtime::run_program.
     comm_.abort("ilps-ft-restart: engine rank " + std::to_string(client) + " died");
     done_ = true;
     return;
@@ -502,13 +476,24 @@ void Server::on_client_dead(int client) {
       }
     }
   }
-  // Requeue whatever it was running (tracked on its home server).
+  // Requeue the units it held and was not seen to finish (tracked on its
+  // home server).
   auto inflight = inflight_.find(client);
   if (inflight != inflight_.end()) {
-    WorkUnit unit = std::move(inflight->second);
+    std::vector<WorkUnit> batch = std::move(inflight->second);
     inflight_.erase(inflight);
-    requeue_or_fail(std::move(unit), "rank " + std::to_string(client) + " died");
-    if (done_) return;
+    for (const WorkUnit& unit : batch) {
+      if (unit.req == 0) continue;
+      // A resident request's accounting cannot be replayed in place.
+      comm_.abort("ilps: worker rank " + std::to_string(client) + " died holding a unit of request <" +
+                  std::to_string(unit.req) + ">; request units are not recovered");
+      done_ = true;
+      return;
+    }
+    for (WorkUnit& unit : batch) {
+      requeue_or_fail(std::move(unit), client, "the rank died");
+      if (done_) return;
+    }
   }
   // Queued work aimed specifically at the dead rank is retargeted. The
   // map is ordered by (rank, type), so the dead rank's entries form a
@@ -564,17 +549,19 @@ bool Server::check_heartbeats() {
   return declared;
 }
 
-void Server::requeue_or_fail(WorkUnit unit, const std::string& why) {
+void Server::requeue_or_fail(WorkUnit unit, int rank, const std::string& why) {
   ++unit.attempts;
   if (unit.attempts > cfg_.max_task_retries) {
-    comm_.abort("ilps-task-failed: task <" + std::to_string(unit.id) + "> failed " +
-                std::to_string(unit.attempts) + " time(s), retries exhausted: " + why);
+    comm_.abort("ilps-task-failed: task <" + std::to_string(unit.id) + "> failed on rank " +
+                std::to_string(rank) + ": " + why + " (retries exhausted after " +
+                std::to_string(unit.attempts) + " attempts)");
     done_ = true;
     return;
   }
   ++stats_.requeues;
   obs::instant(obs::EventKind::kRequeue, unit.id, unit.attempts);
-  log::info("adlb: requeueing task <", unit.id, "> (failure ", unit.attempts, "): ", why);
+  log::info("adlb: requeueing task <", unit.id, "> (failure ", unit.attempts, " on rank ", rank,
+            "): ", why);
   if (cfg_.retry_backoff_ms > 0) {
     // Exponential backoff: 1x, 2x, 4x, ... the base delay per attempt.
     const int shift = std::min(unit.attempts - 1, 10);
@@ -603,16 +590,31 @@ bool Server::flush_deferred() {
   return any;
 }
 
-void Server::note_completion(int client) {
+void Server::complete_inflight(int client, int64_t through, bool failed) {
   auto it = inflight_.find(client);
-  if (it == inflight_.end()) return;
+  if (it == inflight_.end() || it->second.empty()) return;
+  std::vector<WorkUnit>& batch = it->second;
+  size_t finished = batch.size();
+  size_t drop = finished;
+  if (through != 0) {
+    size_t pos = 0;
+    while (pos < batch.size() && batch[pos].id != through) ++pos;
+    if (pos == batch.size()) return;  // not a unit this client holds
+    finished = failed ? pos : pos + 1;
+    drop = pos + 1;
+  }
+  for (size_t i = 0; i < finished; ++i) note_completion(batch[i]);
+  batch.erase(batch.begin(), batch.begin() + static_cast<ptrdiff_t>(drop));
+}
+
+void Server::note_completion(const WorkUnit& unit) {
+  ++tasks_completed_;
+  if (!checkpointing_) return;
   // Units that manage container write refcounts are re-run on restart
   // (see accept_unit), so they are not fingerprinted as done.
-  if (it->second.payload.find("write_incr") == std::string::npos) {
-    ++done_fingerprints_[ckpt::fingerprint(it->second.payload)];
+  if (unit.payload.find("write_incr") == std::string::npos) {
+    ++done_fingerprints_[ckpt::fingerprint(unit.payload)];
   }
-  inflight_.erase(it);
-  ++tasks_completed_;
   maybe_checkpoint();
 }
 
@@ -841,14 +843,12 @@ uint64_t Server::epoch_of(int64_t id) const {
 void Server::write_retrieve_result(ser::Writer& w, int source, int64_t id, const Datum& d) {
   w.put_str(d.value);
   // closed is already established by the caller; a live datum's read
-  // refcount is positive (zero deletes immediately), but ft tombstones
-  // sit at zero and must not be cached.
+  // refcount is positive (zero deletes immediately), but the tombstones
+  // kept while checkpointing sit at zero and must not be cached.
   const bool cacheable = d.read_refs > 0;
   w.put_bool(cacheable);
   w.put_u64(epoch_of(id));
-  // Under ft nothing is GC'd (tombstones), so no invalidation can ever be
-  // owed and tracking handouts would only accumulate memory.
-  if (cacheable && !cfg_.ft) handouts_[id].insert(source);
+  if (cacheable) handouts_[id].insert(source);
 }
 
 void Server::gc_datum(int64_t id) {
@@ -864,20 +864,32 @@ void Server::gc_datum(int64_t id) {
   store_.erase(id);
 }
 
+namespace {
+// Refuses a write. One that repeats a write already applied (`repeated`)
+// is refused only because it is not a replay, so it raises the
+// RepeatedWriteError the kAckBatch reports as AckStatus::kRepeated.
+[[noreturn]] void refuse(bool repeated, const std::string& message) {
+  if (repeated) throw RepeatedWriteError(message);
+  throw DataError(message);
+}
+}  // namespace
+
 // The ack-only mutations, applied by the kDataBatch loop (which has
 // already read the sub-op's datum id). Every case reads its full argument
 // list before any validation can throw — the batch loop relies on that to
-// keep parsing past a failed sub-op.
-uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, ser::Reader& r) {
+// keep parsing past a failed sub-op. A write that repeats one already
+// applied is accepted, as a no-op, only from a replay: a retried task or
+// a run restored from a checkpoint.
+uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, bool replay,
+                                     ser::Reader& r) {
   switch (op) {
     case Op::kCreate: {
       auto type = static_cast<DataType>(r.get_u8());
       int64_t req = r.get_i64();
-      if (store_.count(id) > 0) {
-        // Replay (restart or retried task): re-creating the same id
-        // with the same type is idempotent under fault tolerance.
-        if (cfg_.ft && store_[id].type == type) return 0;
-        throw DataError("create: datum <" + std::to_string(id) + "> already exists");
+      if (auto it = store_.find(id); it != store_.end()) {
+        const bool repeated = it->second.type == type;
+        if (repeated && replay) return 0;
+        refuse(repeated, "create: datum <" + std::to_string(id) + "> already exists");
       }
       Datum d;
       d.type = type;
@@ -890,11 +902,12 @@ uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, ser::Reader&
       std::string value = r.get_str();
       Datum& d = find_datum(id, "store");
       if (d.closed) {
-        // Replay writing back the identical value is idempotent; a
-        // different value is still a real double assignment.
-        if (cfg_.ft && d.has_value && d.value == value) return 0;
-        throw DataError("store: datum <" + std::to_string(id) +
-                        "> already closed (double assignment)");
+        // Only writing back the identical value can be a replay; a
+        // different value is a double assignment in any case.
+        const bool repeated = d.has_value && d.value == value;
+        if (repeated && replay) return 0;
+        refuse(repeated, "store: datum <" + std::to_string(id) +
+                             "> already closed (double assignment)");
       }
       d.value = std::move(value);
       d.has_value = true;
@@ -903,8 +916,8 @@ uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, ser::Reader&
     case Op::kCloseDatum: {
       Datum& d = find_datum(id, "close");
       if (d.closed) {
-        if (cfg_.ft) return 0;  // replayed close of a void future
-        throw DataError("close: datum <" + std::to_string(id) + "> already closed");
+        if (replay) return 0;
+        refuse(true, "close: datum <" + std::to_string(id) + "> already closed");
       }
       return do_close(id, d, source);
     }
@@ -913,24 +926,22 @@ uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, ser::Reader&
       Datum& d = find_datum(id, "refcount");
       d.read_refs += delta;
       if (d.read_refs < 0) {
-        // Replayed decrements may overshoot; clamp instead of failing.
-        if (cfg_.ft) {
-          d.read_refs = 0;
-        } else {
-          throw DataError("refcount: datum <" + std::to_string(id) + "> underflow");
-        }
+        // A restored run replays decrements the snapshot already
+        // counted: clamp them.
+        if (!replay) throw DataError("refcount: datum <" + std::to_string(id) + "> underflow");
+        d.read_refs = 0;
       }
-      // Under fault tolerance the datum is kept as a tombstone: a
-      // restart replays reads that the refcounts say already happened.
-      if (d.read_refs == 0 && !cfg_.ft) gc_datum(id);
+      // While checkpointing the datum is kept as a tombstone: a restart
+      // replays reads that the refcounts say already happened.
+      if (d.read_refs == 0 && !checkpointing_) gc_datum(id);
       return 0;
     }
     case Op::kWriteIncr: {
       int delta = r.get_i32();
       Datum& d = find_datum(id, "write refcount");
       if (d.closed) {
-        if (cfg_.ft) return 0;  // replayed decrement after the close already happened
-        throw DataError("write refcount: datum <" + std::to_string(id) + "> already closed");
+        if (replay) return 0;  // a replayed decrement after the close happened
+        refuse(true, "write refcount: datum <" + std::to_string(id) + "> already closed");
       }
       d.write_refs += delta;
       if (d.write_refs < 0) {
@@ -959,18 +970,17 @@ uint32_t Server::apply_data_mutation(int source, Op op, int64_t id, ser::Reader&
       if (d.type != DataType::kContainer) {
         throw DataError("insert: datum <" + std::to_string(id) + "> is not a container");
       }
-      {
-        // Replayed insert of the identical (key, value) is idempotent,
-        // even after the container closed.
-        auto prev = d.entries.find(key);
-        if (cfg_.ft && prev != d.entries.end() && prev->second == value) return 0;
-      }
+      // A replayed insert of the identical (key, value) is accepted, even
+      // after the container closed.
+      auto prev = d.entries.find(key);
+      const bool repeated = prev != d.entries.end() && prev->second == value;
+      if (repeated && replay) return 0;
       if (d.closed) {
-        throw DataError("insert: container <" + std::to_string(id) + "> is closed");
+        refuse(repeated, "insert: container <" + std::to_string(id) + "> is closed");
       }
-      if (d.entries.count(key) > 0) {
-        throw DataError("insert: container <" + std::to_string(id) + "> already has key \"" +
-                        key + "\"");
+      if (prev != d.entries.end()) {
+        refuse(repeated, "insert: container <" + std::to_string(id) + "> already has key \"" +
+                             key + "\"");
       }
       d.entries.emplace(std::move(key), std::move(value));
       return 0;
@@ -987,18 +997,6 @@ void Server::handle_data_op(int source, Op op, ser::Reader& r) {
   ++stats_.data_ops;
   try {
     switch (op) {
-      case Op::kRetrieve: {
-        int64_t id = r.get_i64();
-        Datum& d = find_datum(id, "retrieve");
-        if (!d.closed) {
-          throw DataError("retrieve: datum <" + std::to_string(id) + "> is not closed");
-        }
-        ser::Writer w = reply_writer(source);
-        w.put_u8(static_cast<uint8_t>(Op::kValue));
-        write_retrieve_result(w, source, id, d);
-        comm_.send(source, kTagResponse, std::move(w));
-        return;
-      }
       case Op::kMultiRetrieve: {
         // One reply carries every id's result; per-id status instead of a
         // batch-wide error, so the client can name the offending id.
@@ -1078,7 +1076,7 @@ void Server::handle_data_op(int source, Op op, ser::Reader& r) {
         const bool cacheable = d.closed && d.read_refs > 0;
         w.put_bool(cacheable);
         w.put_u64(epoch_of(id));
-        if (cacheable && !cfg_.ft) handouts_[id].insert(source);
+        if (cacheable) handouts_[id].insert(source);
         comm_.send(source, kTagResponse, std::move(w));
         return;
       }
@@ -1091,23 +1089,12 @@ void Server::handle_data_op(int source, Op op, ser::Reader& r) {
           for (int64_t id : it->second) {
             auto sit = store_.find(id);
             if (sit == store_.end()) continue;  // already refcount-GC'd
-            const Datum& d = sit->second;
-            if (!d.closed) {
-              // Same diagnostics release_parked() produces at shutdown;
-              // counting here (the store is swept clean below) keeps the
-              // run-level leftover/stuck totals identical.
+            // The diagnostics release_parked() produces at shutdown;
+            // counting here (the store is swept clean below) keeps the
+            // run-level leftover/stuck totals identical.
+            if (!sit->second.closed) {
               ++leftover;
-              ++stats_.leftover_data;
-              if (!d.subscribers.empty()) {
-                ++stuck;
-                ++stats_.stuck_datums;
-                obs::instant(obs::EventKind::kDatumStuck, id,
-                             static_cast<int64_t>(d.subscribers.size()));
-                if (stats_.stuck_datums <= 8) {
-                  log::warn("adlb: datum <", id, "> never closed; ", d.subscribers.size(),
-                            " subscriber(s) still waiting");
-                }
-              }
+              if (count_unclosed(id, sit->second)) ++stuck;
             }
             gc_datum(id);
           }
@@ -1207,19 +1194,22 @@ void Server::release_parked() {
   }
   parked_clients_.clear();
   for (const auto& [id, datum] : store_) {
-    if (!datum.closed) ++stats_.leftover_data;
-    // An unclosed datum with live subscribers is the data-store view of a
-    // deadlock: some rule subscribed and the close never came.
-    if (!datum.closed && !datum.subscribers.empty()) {
-      ++stats_.stuck_datums;
-      obs::instant(obs::EventKind::kDatumStuck, id,
-                   static_cast<int64_t>(datum.subscribers.size()));
-      if (stats_.stuck_datums <= 8) {
-        log::warn("adlb: datum <", id, "> never closed; ", datum.subscribers.size(),
-                  " subscriber(s) still waiting");
-      }
-    }
+    if (!datum.closed) count_unclosed(id, datum);
   }
+}
+
+bool Server::count_unclosed(int64_t id, const Datum& d) {
+  ++stats_.leftover_data;
+  // An unclosed datum with live subscribers is the data-store view of a
+  // deadlock: some rule subscribed and the close never came.
+  if (d.subscribers.empty()) return false;
+  ++stats_.stuck_datums;
+  obs::instant(obs::EventKind::kDatumStuck, id, static_cast<int64_t>(d.subscribers.size()));
+  if (stats_.stuck_datums <= 8) {
+    log::warn("adlb: datum <", id, "> never closed; ", d.subscribers.size(),
+              " subscriber(s) still waiting");
+  }
+  return true;
 }
 
 // ---- replies ----

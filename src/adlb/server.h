@@ -28,6 +28,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,7 +57,7 @@ struct ServerStats {
   uint64_t leftover_data = 0;    // unclosed data at shutdown (diagnostic)
   uint64_t stuck_datums = 0;     // unclosed data somebody subscribed to (deadlock evidence)
 
-  // ---- fault tolerance ----
+  // ---- recovery ----
   uint64_t requeues = 0;          // units re-dispatched after a failure
   uint64_t task_failures = 0;     // kTaskFailed reports received
   uint64_t heartbeat_deaths = 0;  // clients declared dead by silence
@@ -124,7 +125,7 @@ class Server {
   void handle_server(const mpi::Message& m);
   void after_dispatch();
 
-  // ---- fault tolerance ----
+  // ---- recovery ----
   bool is_engine_client(int client) const { return client < cfg_.nengines; }
   void handle_task_failed(int source, ser::Reader& r);
   void on_rank_dead_notice(int rank);   // kTagFault arrived for `rank`
@@ -132,9 +133,13 @@ class Server {
   // Declares silent busy clients dead; true if it declared any (their
   // requeued work may sit in the forward outbox until after_dispatch).
   bool check_heartbeats();
-  void requeue_or_fail(WorkUnit unit, const std::string& why);
+  void requeue_or_fail(WorkUnit unit, int rank, const std::string& why);
   bool flush_deferred();                // requeue backoff expiries; true if any
-  void note_completion(int client);     // client's in-flight unit finished
+  // The client finished the units it holds up to unit `through` (all of
+  // them when `through` is 0), and `through` itself unless it `failed`;
+  // those units leave its in-flight batch.
+  void complete_inflight(int client, int64_t through = 0, bool failed = false);
+  void note_completion(const WorkUnit& unit);
   void maybe_checkpoint();
   ckpt::Snapshot snapshot() const;
   void restore(const ckpt::Snapshot& snap);
@@ -147,7 +152,6 @@ class Server {
   // notice (-1), so the owner's active count can never touch zero while
   // work is still in flight.
   void maybe_spawn_notice(WorkUnit& unit);
-  void handle_put(int source, const WorkUnit& unit);
   // Assigns a globally unique id to a not-yet-named unit.
   void name_unit(WorkUnit& unit);
   // Accepts a unit that belongs on this server (or forwards a targeted
@@ -158,10 +162,10 @@ class Server {
   // retrieve result when this shard owns it and it is alive, closed and
   // holds a value of at most kNotifyValueBytes.
   void write_delivered(ser::Writer& w, int client, const WorkUnit& unit);
-  void deliver(int client, const WorkUnit& unit);
-  // One kGotWorkBatch reply carrying several units (the Get fast path;
-  // under ft every worker holds one unit at a time, see handle_get).
-  void deliver_batch(int client, std::vector<WorkUnit>& units);
+  // One kGotWorkBatch reply carrying `units` (several on the Get fast
+  // path). A worker's units then move into its in-flight batch, so a
+  // failure can requeue them.
+  void deliver(int client, std::span<WorkUnit> units);
   void handle_get(int source, int type);
   void evaluate_hunger();
   void send_batch(int peer, int type);
@@ -177,10 +181,11 @@ class Server {
   void handle_data_op(int source, Op op, ser::Reader& r);
   // Performs one kDataBatch sub-op (create/store/close/subscribe/
   // ref_incr/write_incr/insert on datum `id`); returns how many close
-  // notifications it queued back to `source`. Throws DataError on
+  // notifications it queued back to `source`. A repeated write is
+  // accepted only when `replay` is set. Throws DataError on
   // failure — always after fully consuming the sub-op's arguments, so the
   // batch loop can catch and keep parsing.
-  uint32_t apply_data_mutation(int source, Op op, int64_t id, ser::Reader& r);
+  uint32_t apply_data_mutation(int source, Op op, int64_t id, bool replay, ser::Reader& r);
   Datum& find_datum(int64_t id, const char* op);
   // Queues one close notification for `id`: a targeted kUnitNotify unit
   // of `notify_type` for `rank`, whose payload is the decimal id.
@@ -192,8 +197,8 @@ class Server {
   // maybe_spawn_notice).
   uint32_t do_close(int64_t id, Datum& datum, int rpc_source);
   // Appends one retrieve result (value, cacheable flag, GC epoch) and
-  // records the handout when cacheable (shared by kRetrieve,
-  // kMultiRetrieve and a notification's carried value).
+  // records the handout when cacheable (shared by kMultiRetrieve and a
+  // notification's carried value).
   void write_retrieve_result(ser::Writer& w, int source, int64_t id, const Datum& d);
   uint64_t epoch_of(int64_t id) const;
   // Refcount GC: bump the id's epoch and queue an invalidation for every
@@ -206,6 +211,9 @@ class Server {
   void try_forward_token();
   void shutdown_all();
   void release_parked();
+  // Counts an unclosed datum left at shutdown or by a namespace sweep;
+  // true (and logged) if rules still wait on it.
+  bool count_unclosed(int64_t id, const Datum& d);
 
   // ---- replies ----
   // Every reply to a client starts with the invalidation header (see
@@ -247,22 +255,28 @@ class Server {
   std::unordered_map<int64_t, std::vector<int64_t>> req_index_;
 
   // Client-cache coherence (handouts are only recorded for replies marked
-  // cacheable, and not under ft, where nothing is ever GC'd so no
-  // invalidations arise).
+  // cacheable).
   std::unordered_map<int64_t, uint64_t> gc_epochs_;     // id -> deletions seen
   std::unordered_map<int64_t, std::set<int>> handouts_; // id -> clients holding bytes
   std::unordered_map<int, std::vector<std::pair<int64_t, uint64_t>>>
       pending_inval_;  // client -> (id, epoch) to ride the next reply
 
-  // Fault-tolerance state (all inert unless cfg_.ft).
-  std::unordered_map<int, WorkUnit> inflight_;  // client -> delivered unit
+  // Recovery state. A worker's in-flight batch is every unit delivered to
+  // it that it has not been seen to finish (by a Get or a kTaskDone); its
+  // vector keeps its capacity, so tracking allocates nothing per unit.
+  std::unordered_map<int, std::vector<WorkUnit>> inflight_;  // client -> batch
   std::vector<std::pair<double, WorkUnit>> deferred_;  // (ready time, requeued unit)
   std::unordered_map<int, double> last_seen_;   // client -> last RPC time
   std::set<int> dead_clients_;                  // global (all servers learn)
   int64_t next_unit_id_ = 1;
   int64_t tasks_completed_ = 0;
   uint64_t ckpt_seq_ = 0;
-  bool restored_ = false;  // this run started from a checkpoint
+  bool restored_ = false;  // this run started from a checkpoint: every op
+                           // is a replay of the engine program
+  // A restart replays the whole engine program against the snapshot, so
+  // while checkpointing (or restored) freed datums stay as tombstones and
+  // completed tasks are fingerprinted; otherwise neither builds up.
+  bool checkpointing_ = false;
   // Completed-task fingerprint -> remaining skip budget (a multiset:
   // identical payloads may legitimately run more than once).
   std::unordered_map<uint64_t, int> done_fingerprints_;

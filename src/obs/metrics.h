@@ -167,7 +167,7 @@ class Metrics {
   void clear();  // drop every metric (tests / fresh runs)
 
   // Resets every histogram's samples (exact and windowed) without
-  // unregistering the entries. Used by run_with_faults between restart
+  // unregistering the entries. Used by run_program between restart
   // attempts: the final attempt's timings must not accumulate samples from
   // aborted attempts, and the registered objects must survive because rank
   // loops cache references.

@@ -171,6 +171,7 @@ RunResult run_world(mpi::World& world, const WorldPlan& plan) {
   const bool has_main = plan.program.find("proc swift:main") != std::string_view::npos;
   const int ingress_rank = plan.ingress ? cfg.engines + cfg.workers : -1;
 
+  const adlb::Config acfg = cfg.adlb();
   WorldTotals totals(cfg.echo_output);
   turbine::ContextConfig ccfg;
   ccfg.policy = cfg.policy;
@@ -186,13 +187,13 @@ RunResult run_world(mpi::World& world, const WorldPlan& plan) {
 
   auto body = [&](mpi::Comm& comm) {
     const int rank = comm.rank();
-    if (adlb::is_server(rank, comm.size(), plan.adlb)) {
-      adlb::Server server(comm, plan.adlb, plan.restore);
+    if (adlb::is_server(rank, comm.size(), acfg)) {
+      adlb::Server server(comm, acfg, plan.restore);
       server.serve();
       totals.add(server.stats());
       return;
     }
-    adlb::Client client(comm, plan.adlb);
+    adlb::Client client(comm, acfg);
     if (rank == ingress_rank) {
       plan.ingress(client);
       totals.add(client);
@@ -268,16 +269,16 @@ std::vector<std::string> role_names(const Config& cfg) {
   return roles;
 }
 
-namespace {
-
-// The batch and fault-tolerant driver: runs the plan until an attempt
-// completes. Only a fault-tolerant run restarts (from the latest
-// checkpoint in cfg.ckpt_dir) after a RestartError.
-RunResult drive(const Config& cfg, const std::string& program, bool ft) {
+RunResult run_program(const Config& cfg, const std::string& program) {
+  if (cfg.ckpt_interval > 0 && cfg.servers != 1) {
+    throw Error("runtime: checkpointing requires exactly one server rank");
+  }
+  if (cfg.ckpt_interval > 0 && cfg.ckpt_dir.empty()) {
+    throw Error("runtime: ckpt_interval is set but ckpt_dir is empty");
+  }
   WorldPlan plan(cfg);
-  plan.adlb.ft = ft;
   plan.program = program;
-  mpi::FaultPlan remaining = ft ? cfg.fault_plan : mpi::FaultPlan{};
+  mpi::FaultPlan remaining = cfg.fault_plan;
   std::vector<int> all_dead;
   int fired = 0;
   // Every attempt's events: attempts run sequentially on one wtime()
@@ -287,9 +288,9 @@ RunResult drive(const Config& cfg, const std::string& program, bool ft) {
   while (true) {
     ++attempts;
     mpi::World world(cfg.total_ranks());
-    if (ft) world.set_fault_plan(remaining);
+    world.set_fault_plan(remaining);
     std::optional<ckpt::Snapshot> snap;
-    if (ft && !cfg.ckpt_dir.empty()) snap = ckpt::load_latest(cfg.ckpt_dir);
+    if (!cfg.ckpt_dir.empty()) snap = ckpt::load_latest(cfg.ckpt_dir);
     plan.restore = snap ? &*snap : nullptr;
     try {
       RunResult result = run_world(world, plan);
@@ -308,7 +309,7 @@ RunResult drive(const Config& cfg, const std::string& program, bool ft) {
       // run_world rethrows after World::run joined every rank thread, so
       // the failed attempt's buffers are safe to harvest.
       append_trace(world, trace);
-      if (!ft || attempts > cfg.max_restarts) throw;
+      if (attempts > cfg.max_restarts) throw;
       // The next attempt re-enters the rank loops, which re-resolve (or
       // cache) the same registered histograms. Reset their samples in
       // place — without this, the aborted attempt's task timings pollute
@@ -329,22 +330,6 @@ RunResult drive(const Config& cfg, const std::string& program, bool ft) {
       log::info("runtime: restarting after failure (attempt ", attempts + 1, "): ", e.what());
     }
   }
-}
-
-}  // namespace
-
-RunResult run_program(const Config& cfg, const std::string& program) {
-  return drive(cfg, program, /*ft=*/false);
-}
-
-RunResult run_with_faults(const Config& cfg, const std::string& program) {
-  if (cfg.ckpt_interval > 0 && cfg.servers != 1) {
-    throw Error("runtime: checkpointing requires exactly one server rank");
-  }
-  if (cfg.ckpt_interval > 0 && cfg.ckpt_dir.empty()) {
-    throw Error("runtime: ckpt_interval is set but ckpt_dir is empty");
-  }
-  return drive(cfg, program, /*ft=*/true);
 }
 
 }  // namespace ilps::runtime

@@ -41,7 +41,7 @@ struct Config {
   bool steal_half = true;
   int data_cache_mb = -1;  // client datum cache budget; 0 disables, -1 = env
 
-  // ---- fault tolerance (run_with_faults; see src/ckpt) ----
+  // ---- recovery (every run_program; see src/ckpt) ----
   // Scripted failures injected into the World (kill/hang a rank,
   // drop/delay a message). Consumed actions are not re-fired on restart.
   mpi::FaultPlan fault_plan;
@@ -55,8 +55,7 @@ struct Config {
   int max_restarts = 3;          // restart-from-checkpoint budget
 
   int total_ranks() const { return engines + workers + servers; }
-  // The ADLB configuration for this layout. The recovery fields only take
-  // effect once `ft` is set, which run_with_faults does.
+  // The ADLB configuration for this layout.
   adlb::Config adlb() const {
     adlb::Config cfg;
     cfg.nservers = servers;
@@ -72,7 +71,7 @@ struct Config {
   }
 };
 
-// Recovery accounting for run_with_faults (per-event counters live in
+// Recovery accounting for run_program (per-event counters live in
 // ServerStats: requeues, task_failures, heartbeat_deaths, checkpoints,
 // replay_skips).
 struct FtStats {
@@ -103,9 +102,9 @@ struct RunResult {
   double elapsed_seconds = 0;
 
   // Merged per-rank event trace (src/obs), time-ordered. Empty unless
-  // tracing was enabled (ILPS_TRACE=1 or obs::set_trace_enabled). Under
-  // run_with_faults this spans every attempt, so e.g. a killed rank's
-  // rank_dead instant survives the restart.
+  // tracing was enabled (ILPS_TRACE=1 or obs::set_trace_enabled). It
+  // spans every attempt, so e.g. a killed rank's rank_dead instant
+  // survives a restart.
   std::vector<obs::Event> trace;
 
   // All output joined back together (convenience for tests).
@@ -113,13 +112,12 @@ struct RunResult {
   bool contains(const std::string& needle) const;
 };
 
-// What one world runs. Batch, fault-tolerant and resident runs differ
-// only in these fields; run_world builds every rank from them.
+// What one world runs. Batch and resident runs differ only in these
+// fields; run_world builds every rank from them.
 struct WorldPlan {
-  explicit WorldPlan(const Config& c) : cfg(c), adlb(c.adlb()) {}
+  explicit WorldPlan(const Config& c) : cfg(c) {}
 
-  const Config& cfg;  // rank layout, interpreter policy and hooks
-  adlb::Config adlb;  // what the ADLB servers and clients run with
+  const Config& cfg;  // rank layout, ADLB settings, interpreter policy, hooks
   const ckpt::Snapshot* restore = nullptr;  // server state to restart from
   std::string_view program;  // loaded as run_program describes; empty = none
 
@@ -158,17 +156,16 @@ std::string deadlock_message(const std::string& subject, uint64_t unfired_rules,
 //    This is what the STC compiler emits.
 //  - Otherwise the program runs on engine rank 0 only; task payloads must
 //    be self-contained scripts.
-// Throws on script or configuration errors.
-RunResult run_program(const Config& cfg, const std::string& program);
-
-// Fault-tolerant driver around run_program: injects cfg.fault_plan,
-// requeues dead/hung workers' leaf tasks (bounded by max_task_retries),
+//
+// Recovery is part of every run: it injects cfg.fault_plan, requeues a
+// failed, dead or hung worker's leaf tasks (bounded by max_task_retries),
 // and on an unrecoverable failure (engine death, all workers dead)
-// restarts the program from the latest checkpoint in cfg.ckpt_dir,
-// skipping leaf tasks that already completed. Throws TaskError when a
-// task exhausts its retries and RestartError when the restart budget
-// runs out.
-RunResult run_with_faults(const Config& cfg, const std::string& program);
+// restarts the program, from the latest checkpoint in cfg.ckpt_dir if
+// there is one, skipping leaf tasks that already completed. Throws
+// TaskError when a task exhausts its retries, RestartError when the
+// restart budget (max_restarts) runs out, and on script, data or
+// configuration errors.
+RunResult run_program(const Config& cfg, const std::string& program);
 
 // "engine" / "worker" / "server" per rank, following the role layout
 // (labels the utilization table and the Chrome trace's thread names).

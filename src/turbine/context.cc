@@ -631,13 +631,13 @@ void Context::run_worker() {
     ++stats_.tasks;
     const double started = ilps::wtime();
     const bool serve = unit->req != 0;
-    const bool settles = serve || client_.config().ft;
     const auto account_busy = [&] {
       if (busy_gauge != nullptr) {
         busy_total += ilps::wtime() - started;
         busy_gauge->set(busy_total);
       }
     };
+    client_.begin_task(*unit);
     try {
       {
         obs::RequestScope rscope(serve ? unit->req : 0);
@@ -648,36 +648,21 @@ void Context::run_worker() {
           scope.emplace(*this, unit->req, unit->owner, unit->prog);
         }
         exec_action(unit->payload);
-        // A write-behind op that fails surfaces at the next sync point.
-        // Under ft and serve, make that point inside this try, so the
-        // failure is this task's: retried under ft, failing only its own
-        // request under serve.
-        if (settles) client_.sync();
+        // A write-behind op that fails surfaces at the task's closing
+        // sync, inside this try, so the failure is this task's: retried,
+        // or failing only its own request under serve.
+        client_.finish_task();
       }
       const double took = ilps::wtime() - started;
       if (task_seconds != nullptr) task_seconds->record(took);
       if (task_seconds_window != nullptr) task_seconds_window->record(took);
     } catch (const Error& e) {
       // A leaf-task failure is typed and attributed (rank, task id), not
-      // a raw string on stdout. Under fault tolerance it goes back to the
-      // server for retry; under serve it fails only its own request;
-      // otherwise it fails the run as before.
+      // a raw string on stdout.
       end_task();
-      // Ops the task buffered before it threw are part of this failure:
-      // settle them here, or their error would surface in a later task.
-      if (settles) {
-        try {
-          client_.sync();
-        } catch (const DataError&) {
-        }
-      }
-      if (client_.config().ft) {
-        client_.task_failed(*unit, e.what());
-        account_busy();
-        continue;
-      }
-      std::string message = "task <" + std::to_string(unit->id) + "> failed on rank " +
-                            std::to_string(client_.rank()) + ": " + e.what();
+      client_.fail_task();
+      const std::string message = "task <" + std::to_string(unit->id) + "> failed on rank " +
+                                  std::to_string(client_.rank()) + ": " + e.what();
       if (serve) {
         // A failed store is a data error here as in an engine rule body;
         // anything else the leaf raised is a task failure.
@@ -686,10 +671,17 @@ void Context::run_worker() {
                                           : RequestErrorKind::kTask;
         send_serve_notice(unit->req, unit->owner,
                           "E" + std::to_string(static_cast<int>(kind)) + ":" + message);
-        account_busy();
-        continue;
+      } else if (dynamic_cast<const adlb::RepeatedWriteError*>(&e) != nullptr) {
+        // A refused repeated write is the program's error, and a retry
+        // would be accepted as a replay and hide it: fail the run now.
+        throw DataError(message);
+      } else {
+        // The server requeues the task or, once its retries are spent,
+        // fails the run with a TaskError naming the task and rank.
+        client_.task_failed(*unit, e.what());
       }
-      throw TaskError(message);
+      account_busy();
+      continue;
     }
     end_task();
     if (serve) send_serve_notice(unit->req, unit->owner, "-");

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -88,31 +90,6 @@ TEST(DatumCache, DisabledCacheZeroActivityIdenticalResults) {
   });
 }
 
-// Fault tolerance is server-side recovery state, not a second client
-// data path: the cache, batched multi_retrieve and the write-behind
-// pipeline all stay on under ft.
-TEST(DatumCache, FtKeepsCacheAndBatchedRetrieve) {
-  run(
-      1, 1, 64,
-      [](Client& c) {
-        EXPECT_TRUE(c.cache_enabled());
-        int64_t id = c.unique();
-        c.create(id, DataType::kString);
-        c.store(id, "ft-value");
-        EXPECT_EQ(c.retrieve(id), "ft-value");
-        std::vector<int64_t> ids = {id, id, id};
-        std::vector<std::string> vals = c.multi_retrieve(ids);
-        ASSERT_EQ(vals.size(), 3u);
-        for (const auto& v : vals) EXPECT_EQ(v, "ft-value");
-        // The single retrieve missed; the batch was served from the cache.
-        EXPECT_EQ(c.cache_stats().misses, 1u);
-        EXPECT_EQ(c.cache_stats().hits, 3u);
-        EXPECT_EQ(c.pipeline_stats().ops, 2u);  // the create and the store
-        EXPECT_FALSE(c.get(kTypeWork).has_value());
-      },
-      [](Config& cfg) { cfg.ft = true; });
-}
-
 TEST(DatumCache, DataErrorNamesIdAndSymbol) {
   run(1, 1, 64, [](Client& c) {
     int64_t id = c.unique();
@@ -173,6 +150,59 @@ TEST(DatumCache, EnumerateCached) {
     EXPECT_EQ(first, second);
     EXPECT_EQ(c.cache_stats().misses, 1u);
     EXPECT_EQ(c.cache_stats().hits, 1u);
+    EXPECT_FALSE(c.get(kTypeWork).has_value());
+  });
+}
+
+// The budget bounds the bytes the cache keeps alive, not just the value
+// bytes it holds. The transport recycles a received frame into the next
+// reply, so after a large store a small value can arrive in a reply
+// buffer of 64 KiB or more. A value cached in place, whether carried by a
+// notification or retrieved, is charged for its whole reply buffer, so
+// the cache cannot pin more than the budget.
+TEST(DatumCache, CachedValuesPinNoMoreThanTheBudget) {
+  constexpr int kRounds = 48;
+  run(1, 1, /*cache_mb=*/1, [](Client& c) {
+    const std::string big(64 << 10, 'b');
+    const auto send_large_frame = [&] {
+      const int64_t bulk = c.unique();
+      c.create(bulk, DataType::kString);
+      c.store(bulk, big);
+      c.ref_incr(bulk, -1);
+    };
+    std::vector<std::pair<int64_t, std::string>> cached;
+    for (int i = 0; i < kRounds; ++i) {
+      const std::string value = std::to_string(i);
+      const int64_t notified = c.unique();
+      c.create(notified, DataType::kInteger);
+      c.subscribe(notified, kTypeControl);
+      c.store(notified, value);
+      const int64_t retrieved = c.unique();
+      c.create(retrieved, DataType::kInteger);
+      c.store(retrieved, value);
+      send_large_frame();
+      EXPECT_EQ(c.retrieve_view(retrieved).to_string(), value);
+      send_large_frame();
+      std::optional<WorkUnit> note = c.get(kTypeControl);  // carries `notified`
+      ASSERT_TRUE(note.has_value());
+      ASSERT_EQ(note->payload, std::to_string(notified));
+      cached.emplace_back(notified, value);
+      cached.emplace_back(retrieved, value);
+    }
+    // Sum the distinct storage behind every value the cache still serves.
+    std::set<const void*> seen;
+    size_t pinned = 0;
+    for (const auto& [id, value] : cached) {
+      const uint64_t hits = c.cache_stats().hits;
+      ser::SharedBytes bytes = c.retrieve_view(id);
+      EXPECT_EQ(bytes.to_string(), value);
+      if (c.cache_stats().hits > hits && seen.insert(bytes.storage.get()).second) {
+        pinned += bytes.storage->capacity();
+      }
+    }
+    EXPECT_FALSE(seen.empty());
+    EXPECT_LE(pinned, size_t(1) << 20);
+    EXPECT_LE(c.cache_bytes(), size_t(1) << 20);
     EXPECT_FALSE(c.get(kTypeWork).has_value());
   });
 }

@@ -138,13 +138,13 @@ runtime::Config base_config() {
 
 }  // namespace
 
-// ---- baseline: the driver without faults matches run_program ----
+// ---- baseline: recovery without faults changes nothing ----
 
 TEST(Faults, NoFaultPlanMatchesPlainRun) {
   runtime::Config cfg = base_config();
   const std::string program = pi_program(cfg.workers);
   auto plain = runtime::run_program(cfg, program);
-  auto ft = runtime::run_with_faults(cfg, program);
+  auto ft = runtime::run_program(cfg, program);
   EXPECT_EQ(ft.output(), plain.output());
   EXPECT_EQ(ft.ft.attempts, 1);
   EXPECT_TRUE(ft.ft.dead_ranks.empty());
@@ -163,7 +163,7 @@ TEST(Faults, KillOneWorkerMidRunCompletesIdentically) {
   // of its ~67-task share, and always reached (pi_program).
   cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/10);
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, program);
+  auto result = runtime::run_program(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
   EXPECT_EQ(result.ft.attempts, 1);  // recovered in place, no restart
@@ -185,7 +185,7 @@ TEST(Faults, EngineRestartFromCheckpointSkipsFinishedTasks) {
   cfg.fault_plan.kill_rank(/*rank=*/0, kEngineEndOfPhase1);
   cfg.ckpt_interval = 5;
   cfg.ckpt_dir = dir.str();
-  auto result = runtime::run_with_faults(cfg, kTwoPhaseProgram);
+  auto result = runtime::run_program(cfg, kTwoPhaseProgram);
 
   EXPECT_EQ(result.output(), baseline.output());
   EXPECT_EQ(result.ft.attempts, 2);  // one restart
@@ -208,7 +208,7 @@ TEST(Faults, RestartDoesNotAccumulateMetricHistograms) {
   cfg.ckpt_dir = dir.str();
   obs::metrics().clear();
   obs::set_metrics_enabled(true);
-  auto result = runtime::run_with_faults(cfg, kTwoPhaseProgram);
+  auto result = runtime::run_program(cfg, kTwoPhaseProgram);
   obs::set_metrics_enabled(false);
   ASSERT_EQ(result.ft.attempts, 2);
   // The aborted attempt's samples were reset between attempts: the
@@ -227,7 +227,7 @@ TEST(Faults, RetryExhaustionThrowsTaskError) {
   runtime::Config cfg = base_config();
   cfg.max_task_retries = 1;
   try {
-    runtime::run_with_faults(cfg, "turbine::put_work {no_such_command_xyz}");
+    runtime::run_program(cfg, "turbine::put_work {no_such_command_xyz}");
     FAIL() << "expected TaskError";
   } catch (const TaskError& e) {
     const std::string what = e.what();
@@ -261,7 +261,7 @@ TEST(Faults, HungWorkerIsDetectedByHeartbeat) {
   cfg.fault_plan.hang_rank(/*rank=*/3, /*at_unit=*/10);
   cfg.heartbeat_timeout_ms = 150;
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, program);
+  auto result = runtime::run_program(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
   EXPECT_EQ(result.ft.attempts, 1);
@@ -317,7 +317,7 @@ TEST(Faults, HeartbeatFencedLiveWorkerDoesNotHangTheRun) {
   std::future<runtime::RunResult> result = done.get_future();
   std::thread runner([&cfg, &done] {
     try {
-      done.set_value(runtime::run_with_faults(cfg, kSlowOnRankOneProgram));
+      done.set_value(runtime::run_program(cfg, kSlowOnRankOneProgram));
     } catch (...) {
       done.set_exception(std::current_exception());
     }
@@ -325,7 +325,7 @@ TEST(Faults, HeartbeatFencedLiveWorkerDoesNotHangTheRun) {
   if (result.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
     // The hung world still references this frame: leave the process
     // without unwinding it.
-    ADD_FAILURE() << "run_with_faults did not return within 60 s: the fenced worker hangs the join";
+    ADD_FAILURE() << "run_program did not return within 60 s: the fenced worker hangs the join";
     std::fflush(nullptr);
     std::_Exit(1);
   }
@@ -349,7 +349,7 @@ TEST(Faults, DroppedMessageSenderIsRecovered) {
   cfg.fault_plan.drop_message(/*rank=*/1, /*at_unit=*/10);
   cfg.heartbeat_timeout_ms = 150;
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, program);
+  auto result = runtime::run_program(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
   EXPECT_GE(result.server_stats.heartbeat_deaths, 1u);
@@ -388,7 +388,7 @@ proc swift:main {} {
 )";
   cfg.fault_plan.drop_message(/*rank=*/1, /*at_unit=*/1);
   cfg.heartbeat_timeout_ms = 150;
-  auto result = runtime::run_with_faults(cfg, program);
+  auto result = runtime::run_program(cfg, program);
 
   EXPECT_EQ(result.output(), "sum 1260\n");
   EXPECT_EQ(result.ft.faults_fired, 1);
@@ -408,7 +408,7 @@ TEST(Faults, TokenRingTerminatesWithDeadRank) {
   // the Safra ring must conclude with a permanently silent client.
   cfg.fault_plan.kill_rank(/*rank=*/4, /*at_unit=*/5);
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, program);
+  auto result = runtime::run_program(cfg, program);
 
   EXPECT_EQ(result.output(), baseline.output());
   ASSERT_EQ(result.ft.dead_ranks.size(), 1u);
@@ -438,7 +438,7 @@ TEST(Faults, KilledRankEmitsRankDeadExactlyOnce) {
   runtime::Config cfg = base_config();
   cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/10);
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, pi_program(cfg.workers));
+  auto result = runtime::run_program(cfg, pi_program(cfg.workers));
 
   ASSERT_FALSE(result.trace.empty());
   // The dying rank emits rank_dead from its own thread at the moment the
@@ -464,7 +464,7 @@ TEST(Faults, HeartbeatDeathIsTracedForHungWorker) {
   cfg.fault_plan.hang_rank(/*rank=*/3, /*at_unit=*/10);
   cfg.heartbeat_timeout_ms = 150;
   cfg.max_task_retries = 2;
-  auto result = runtime::run_with_faults(cfg, pi_program(cfg.workers));
+  auto result = runtime::run_program(cfg, pi_program(cfg.workers));
 
   ASSERT_GE(result.server_stats.heartbeat_deaths, 1u);
   auto heartbeat = std::find_if(result.trace.begin(), result.trace.end(), [](const obs::Event& e) {
@@ -489,7 +489,7 @@ TEST(Faults, TraceSurvivesCheckpointRestart) {
   cfg.fault_plan.kill_rank(/*rank=*/0, kEngineEndOfPhase1);
   cfg.ckpt_interval = 5;
   cfg.ckpt_dir = dir.str();
-  auto result = runtime::run_with_faults(cfg, kTwoPhaseProgram);
+  auto result = runtime::run_program(cfg, kTwoPhaseProgram);
 
   EXPECT_EQ(result.ft.attempts, 2);
   // Events from the failed attempt (the engine's death) and the restart
@@ -519,9 +519,9 @@ TEST(Faults, RandomKillIsDeterministic) {
 // ---- deferred write-behind errors stay attributed to their task ----
 
 // The worker's store is write-behind, so the double assignment is only
-// reported when its batch is acked. Under ft the worker syncs inside the
-// task, so the failure is the task's: retried, then a TaskError naming
-// the task — not a bare DataError from the worker's next Get.
+// reported when its batch is acked. The worker syncs inside the task, so
+// the failure is the task's: retried, then a TaskError naming the task —
+// not a bare DataError from the worker's next Get.
 TEST(Faults, DeferredStoreErrorFailsItsTask) {
   runtime::Config cfg = base_config();
   const std::string program = R"(
@@ -530,7 +530,7 @@ turbine::store_integer $x 1
 turbine::put_work "turbine::store_integer $x 2"
 )";
   try {
-    runtime::run_with_faults(cfg, program);
+    runtime::run_program(cfg, program);
     FAIL() << "expected TaskError";
   } catch (const TaskError& e) {
     const std::string what = e.what();
@@ -538,6 +538,77 @@ turbine::put_work "turbine::store_integer $x 2"
     EXPECT_NE(what.find("task <"), std::string::npos) << what;
     EXPECT_NE(what.find("already closed (double assignment)"), std::string::npos) << what;
   }
+}
+
+// ---- refcounts under replay ----
+
+// 48 leaf tasks share four integer datums and one container. Each task
+// reads its shared datum, inserts into the container, then gives up its
+// read claim (read_incr -1) and its write claim (write_incr -1). The
+// engine holds one extra read claim per shared datum, and the report
+// rule runs when the container closes, so it is the later reader: it
+// finds every shared datum only if no decrement landed twice, and it
+// sees all 48 entries only if the container closed once, after the last
+// insert. Task 7 fails once after its read_incr (its first attempt
+// records that it ran in the `flag` datum): a failed attempt's held
+// delta must be dropped, not applied. The first 24 tasks are targeted at
+// the three workers round-robin, so each takes at least 8 units in
+// batches, and worker rank 2 always dies as it takes its sixth unit,
+// partway through a batch.
+const char* kSharedRefcountProgram = R"(
+proc work {i shared box flag} {
+  set v [turbine::retrieve_integer $shared]
+  turbine::read_incr $shared -1
+  if {$i == 7 && ![turbine::exists $flag]} {
+    turbine::create_integer $flag
+    turbine::store_integer $flag 1
+    turbine::exists $flag
+    error "transient failure"
+  }
+  turbine::container_insert $box $i [expr {$v * $i}]
+  turbine::write_incr $box -1
+}
+proc report {box shared} {
+  set sum 0
+  foreach {k v} [turbine::enumerate $box] { set sum [expr {$sum + $v}] }
+  set vals [list]
+  foreach s $shared { lappend vals [turbine::retrieve_integer $s] }
+  puts "box [turbine::container_size $box] sum $sum shared $vals"
+}
+proc swift:main {} {
+  set n 48
+  set shared [list]
+  for {set k 0} {$k < 4} {incr k} {
+    set s [turbine::allocate integer]
+    turbine::store_integer $s [expr {$k + 1}]
+    turbine::read_incr $s [expr {$n / 4}]
+    lappend shared $s
+  }
+  set box [turbine::allocate container]
+  turbine::write_incr $box [expr {$n - 1}]
+  set flag [turbine::unique]
+  turbine::rule [list $box] "report $box [list $shared]" type LOCAL
+  for {set i 0} {$i < $n} {incr i} {
+    set task "work $i [lindex $shared [expr {$i % 4}]] $box $flag"
+    if {$i < 24} { turbine::put_work_to [expr {1 + $i % 3}] $task } else { turbine::put_work $task }
+  }
+}
+)";
+
+TEST(Faults, RefcountsSurviveReplayedUnits) {
+  runtime::Config cfg = base_config();
+  const runtime::RunResult baseline = runtime::run_program(cfg, kSharedRefcountProgram);
+  ASSERT_EQ(baseline.lines.size(), 1u);
+  EXPECT_EQ(baseline.lines[0].rfind("box 48 sum ", 0), 0u) << baseline.lines[0];
+  EXPECT_NE(baseline.lines[0].find(" shared 1 2 3 4"), std::string::npos) << baseline.lines[0];
+
+  cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/6);
+  const runtime::RunResult result = runtime::run_program(cfg, kSharedRefcountProgram);
+  EXPECT_EQ(result.output(), baseline.output());
+  EXPECT_EQ(result.ft.attempts, 1);
+  EXPECT_EQ(result.ft.faults_fired, 1);
+  EXPECT_GE(result.server_stats.requeues, 2u);  // the dead rank's units and task 7
+  EXPECT_GE(result.server_stats.task_failures, 1u);
 }
 
 // ---- seeded soak: every fault kind, many points, identical output ----
@@ -557,7 +628,7 @@ TEST(Faults, SeededSoakMatchesFaultFreeOutput) {
   int planned = 0;
   int fired = 0;
   const auto check = [&](const runtime::Config& c, const char* kind, uint64_t seed) {
-    const runtime::RunResult r = runtime::run_with_faults(c, program);
+    const runtime::RunResult r = runtime::run_program(c, program);
     ++planned;
     fired += r.ft.faults_fired;
     EXPECT_EQ(r.output(), expected) << kind << " seed " << seed;

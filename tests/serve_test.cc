@@ -702,9 +702,9 @@ TEST(Serve, RunBatchMatchesLegacySemantics) {
   EXPECT_EQ(r.unfired_rules, 0u);
 }
 
-// Batch, fault-tolerant and resident runs share one world body, so one
-// program prints the same lines and publishes the same counters in all
-// three; batch and fault-tolerant runs also share the client data path.
+// Batch and resident runs share one world body, so one program prints the
+// same lines and publishes the same counters in both; recovery is part of
+// every batch run, so two batch runs take the same client data path.
 TEST(WorldParity, BatchFaultTolerantAndResidentRunsAgree) {
   ObsOn on;
   const std::string source = R"((int o) lid (int i) [ "set <<o>> <<i>>" ];
@@ -734,11 +734,11 @@ foreach i in [0:n] {
   EXPECT_GT(batch_counters.rules_created, 0u);
   EXPECT_GT(batch_counters.tasks, 0u);
 
-  const runtime::RunResult ft = runtime::run_with_faults(cfg.runtime, swift::compile(source));
+  const runtime::RunResult ft = runtime::run_program(cfg.runtime, swift::compile(source));
   EXPECT_EQ(ft.ft.attempts, 1);
   EXPECT_EQ(sorted(ft.lines), expected);
   EXPECT_EQ(published(), batch_counters);
-  // The ft run takes the batch run's client data path: the same ops go
+  // A second run takes the first one's client data path: the same ops go
   // through the write-behind pipeline, and reads go through the cache.
   EXPECT_GT(batch.pipeline_stats.ops, 0u);
   EXPECT_EQ(ft.pipeline_stats.ops, batch.pipeline_stats.ops);
@@ -759,6 +759,35 @@ foreach i in [0:n] {
               static_cast<unsigned long long>(resident_pipeline_ops));
   EXPECT_GT(resident_pipeline_ops, 0u);
   EXPECT_GE(resident_pipeline_ops, batch.pipeline_stats.ops);
+}
+
+// Recovery does not change what a program means: assigning x the value
+// it already holds is a double assignment with or without a fault plan,
+// from an engine rule body (x = 7) and from a worker leaf (x = lid(7)).
+// The plan kills the only worker as it takes its first unit, after the
+// engine's own write of x, so the run restarts and must fail again.
+TEST(WorldParity, DoubleAssignmentFailsWithAndWithoutAFaultPlan) {
+  const std::string head = R"((int o) lid (int i) [ "set <<o>> <<i>>" ];
+int c = lid(1);
+int x = 7;
+)";
+  for (const char* second : {"if (c == 1) { x = 7; }", "if (c == 1) { x = lid(7); }"}) {
+    const std::string program = swift::compile(head + second + "\nprintf(\"x=%d\", x);\n");
+    for (const bool planned : {false, true}) {
+      runtime::Config cfg;
+      cfg.engines = 1;
+      cfg.workers = 1;
+      cfg.servers = 1;
+      if (planned) cfg.fault_plan.kill_rank(/*rank=*/1, /*at_unit=*/1);
+      try {
+        runtime::run_program(cfg, program);
+        ADD_FAILURE() << "expected DataError for `" << second << "`, plan " << planned;
+      } catch (const DataError& e) {
+        EXPECT_NE(std::string(e.what()).find("double assignment"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace
