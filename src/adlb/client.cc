@@ -115,7 +115,7 @@ void Client::pipeline_drain_one(int server) {
   const auto status = static_cast<AckStatus>(r.get_u8());
   if (status != AckStatus::kOk) {
     std::string err = r.get_str();
-    if (deferred_error_.empty()) {
+    if (deferred_error_.empty() || status == AckStatus::kFenced) {
       deferred_error_ = std::move(err);
       deferred_repeated_ = status == AckStatus::kRepeated;
     }
@@ -152,25 +152,36 @@ void Client::begin_task(const WorkUnit& unit) {
 }
 
 void Client::finish_task() {
-  // A task's refcount deltas go out only once its other writes and its
-  // puts are accepted, so a failed task never applies them. The common
-  // task (a few writes in one batch) skips this round trip: the server
-  // ignores a task-done that follows a failed sub-op in its batch.
+  // The task-done goes out once the task's other writes and its puts are
+  // accepted. The common task (a few writes in one batch) skips this
+  // round trip: the server ignores a task-done that follows a failed
+  // sub-op in its batch.
   bool unacked = false;
   for (const auto& [server, p] : pipes_) unacked = unacked || p.unacked > 0;
-  if (!held_refs_.empty() || pending_put_count_ > 0 || unacked) {
+  if (pending_put_count_ > 0 || unacked) {
     flush_puts();
     sync();
   }
-  for (const auto& [id, delta] : held_refs_) send_ref_incr(id, delta);
-  held_refs_.clear();
-  if (task_.dirty) {
+  if (task_.dirty || !held_refs_.empty()) {
     ser::Writer& w = pipeline_writer(home_, Op::kTaskDone);
     w.put_i64(task_.id);
     ++pipes_[home_].count;  // not a datum op: pipeline_stats_.ops skips it
   }
   task_ = Task{};
   sync();
+  // The held decrements follow the accepted task-done. A failed task
+  // never sends them, and neither does a fenced one (kFenced), whose
+  // unit the server requeued: only the rerun that finishes applies them.
+  if (held_refs_.empty()) return;
+  for (const auto& [id, delta] : held_refs_) send_ref_incr(id, delta);
+  held_refs_.clear();
+  sync();
+}
+
+void Client::note_task_output() {
+  // Output cannot be taken back: a task that printed reports that it is
+  // done, so a later fault in its batch does not run it again.
+  if (task_.open) task_.dirty = true;
 }
 
 void Client::fail_task() {
@@ -560,7 +571,11 @@ void Client::ref_incr(int64_t id, int delta) {
   // copy up front rather than waiting for the piggybacked invalidation
   // that follows if this decrement turns out to be the last.
   if (delta < 0) cache_erase(id);
-  if (task_.open) {
+  // An open task holds its decrements until it is done (finish_task).
+  // Increments go out at once, ahead of any put that passes the claim on
+  // (flush_puts ships the pipelines first); a failed attempt's increment
+  // only leaks the datum, it never frees it early.
+  if (task_.open && delta < 0) {
     held_refs_.emplace_back(id, delta);
     return;
   }

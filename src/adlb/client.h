@@ -85,16 +85,18 @@ class Client {
   // ---- worker task boundaries (recovery) ----
   // begin_task opens the task that runs `unit` (a unit the server tracks,
   // so it may be requeued). While it is open, a retry (attempts > 0)
-  // marks its write-behind ops as replays, and read refcount deltas are
-  // held back. finish_task sends the deltas once the task's writes and
-  // puts are accepted, tells the home server the unit is done (if the
-  // task sent anything), and syncs: it throws the task's deferred
-  // DataError, a RepeatedWriteError when no retry may mask it.
-  // fail_task drops what the task left unsent (a retry issues it again)
-  // and drains the rest, swallowing its errors.
+  // marks its write-behind ops as replays, and read refcount decrements
+  // are held back. finish_task tells the home server the unit is done (if
+  // the task sent or printed anything) once its writes and puts are
+  // accepted, then sends the held decrements, and syncs: it throws the
+  // task's deferred DataError, a RepeatedWriteError when no retry may
+  // mask it. fail_task drops what the task left unsent (a retry issues
+  // it again) and drains the rest, swallowing its errors.
+  // note_task_output records that the open task printed.
   void begin_task(const WorkUnit& unit);
   void finish_task();
   void fail_task();
+  void note_task_output();
 
   // ---- Data ----
 
@@ -286,11 +288,11 @@ class Client {
   struct Task {
     int64_t id = 0;
     bool open = false;
-    bool dirty = false;          // it buffered a datum op or a put
+    bool dirty = false;          // it buffered a datum op or a put, or printed
     uint8_t replay_mark = 0;     // kReplayMark on a retry
   };
   Task task_;
-  std::vector<std::pair<int64_t, int>> held_refs_;  // (id, read refcount delta)
+  std::vector<std::pair<int64_t, int>> held_refs_;  // (id, read refcount decrement)
 
   // ---- datum cache state (empty when cache_enabled_ is false) ----
   bool cache_enabled_ = false;

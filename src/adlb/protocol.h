@@ -277,7 +277,11 @@ inline constexpr uint8_t kReplayMark = 0x80;
 // would have accepted (an identical store, a second close, ...): a
 // retry of the task would be stamped a replay and mask the program's
 // error, so the task must fail the run instead of being retried.
-enum class AckStatus : uint8_t { kOk = 0, kError = 1, kRepeated = 2 };
+// kFenced answers a client the home server declared dead by heartbeat
+// while it was alive: nothing in the batch was applied, its units were
+// requeued, and its open task fails quietly (it outranks kRepeated,
+// which another shard may report for a write the rerun already made).
+enum class AckStatus : uint8_t { kOk = 0, kError = 1, kRepeated = 2, kFenced = 3 };
 
 // The DataError a client raises for an AckStatus::kRepeated refusal.
 class RepeatedWriteError : public DataError {

@@ -1,6 +1,7 @@
 #include "adlb/server.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 
@@ -127,10 +128,15 @@ void Server::handle_request(const mpi::Message& m) {
     last_seen_[m.source] = comm_.wtime();
   }
   // A client declared dead may still be alive (fenced off by the
-  // heartbeat): its units were requeued, so its writes repeat theirs.
+  // heartbeat). Its units were requeued, and their reruns make the puts
+  // and writes it still sends: none of them is applied.
   const bool fenced = !dead_clients_.empty() && dead_clients_.count(m.source) > 0;
   switch (op) {
     case Op::kPutBatch: {
+      if (fenced) {
+        reply_ack(m.source);
+        break;
+      }
       uint64_t n = r.get_u64();
       std::string error;
       for (uint64_t i = 0; i < n; ++i) {
@@ -170,12 +176,18 @@ void Server::handle_request(const mpi::Message& m) {
       uint64_t n = r.get_u64();
       AckStatus status = AckStatus::kOk;
       std::string error;
+      if (fenced) {
+        n = 0;  // nothing is applied; kFenced tells the client its task is not done
+        status = AckStatus::kFenced;
+        error = "rank " + std::to_string(m.source) +
+                " was fenced off by the heartbeat; its units were requeued";
+      }
       std::vector<std::pair<int64_t, uint32_t>> self_notified;
       for (uint64_t i = 0; i < n; ++i) {
         const uint8_t code = r.get_u8();
         const Op sub = static_cast<Op>(code & ~kReplayMark);
         // A restored run replays the whole engine program.
-        const bool replay = (code & kReplayMark) != 0 || restored_ || fenced;
+        const bool replay = (code & kReplayMark) != 0 || restored_;
         int64_t id = r.get_i64();
         if (sub == Op::kTaskDone) {
           // A task whose write failed is not done: it reports its failure.
@@ -383,43 +395,29 @@ void Server::handle_get(int source, int type) {
   // Targeted work first (ADLB's matching order), then untargeted by
   // priority. Targeted units can only ever go to this client, so a batch
   // takes as many as the cap allows.
+  std::array<WorkUnit, kGetBatchUnits> units;
+  size_t n = 0;
   auto targeted_it = targeted_.find({source, type});
   if (targeted_it != targeted_.end() && !targeted_it->second.empty()) {
     auto& q = targeted_it->second;
-    if (q.size() == 1) {
-      WorkUnit unit = std::move(q.front());
-      targeted_.erase(targeted_it);
-      deliver(source, {&unit, 1});
-      return;
-    }
-    std::vector<WorkUnit> units;
-    while (!q.empty() && static_cast<int>(units.size()) < kGetBatchUnits) {
-      units.push_back(std::move(q.front()));
+    while (!q.empty() && n < units.size()) {
+      units[n++] = std::move(q.front());
       q.pop_front();
     }
     if (q.empty()) targeted_.erase(targeted_it);
-    deliver(source, units);
+    deliver(source, {units.data(), n});
     return;
   }
   auto& queue = untargeted_[static_cast<size_t>(type)];
   if (!queue.empty()) {
-    WorkUnit unit = std::move(queue.begin()->second);
-    queue.erase(queue.begin());
     // Prefetch extra untargeted units, but leave half the queue behind so
     // other local clients and hungry peers still find work to take.
-    const size_t extra =
-        std::min(static_cast<size_t>(kGetBatchUnits - 1), queue.size() / 2);
-    if (extra == 0) {
-      deliver(source, {&unit, 1});
-      return;
-    }
-    std::vector<WorkUnit> units;
-    units.push_back(std::move(unit));
-    for (size_t i = 0; i < extra; ++i) {
-      units.push_back(std::move(queue.begin()->second));
+    const size_t take = 1 + std::min(units.size() - 1, (queue.size() - 1) / 2);
+    while (n < take) {
+      units[n++] = std::move(queue.begin()->second);
       queue.erase(queue.begin());
     }
-    deliver(source, units);
+    deliver(source, {units.data(), n});
     return;
   }
   obs::instant(obs::EventKind::kAdlbPark, source, type);

@@ -103,6 +103,7 @@ std::string Context::exec_action(const std::string& script) {
 }
 
 void Context::emit(const std::string& line) {
+  client_.note_task_output();
   if (cfg_.output) {
     cfg_.output(cur_req_, client_.rank(), line);
   } else {

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -609,6 +611,134 @@ TEST(Faults, RefcountsSurviveReplayedUnits) {
   EXPECT_EQ(result.ft.faults_fired, 1);
   EXPECT_GE(result.server_stats.requeues, 2u);  // the dead rank's units and task 7
   EXPECT_GE(result.server_stats.task_failures, 1u);
+}
+
+// 12 leaf tasks each read four shared datums and give up their read
+// claim on each. Task 0 runs on rank 1 and busy-waits 400 ms there, past
+// the 150 ms heartbeat: the server fences that live worker off and
+// requeues the task, whose rerun elsewhere gives up the claims. The
+// fenced attempt then finishes and must not give them up a second time.
+// The engine holds one more claim on each shared datum and reads them
+// 600 ms after the last task closed, after the fenced attempt's
+// decrements would have landed. Two servers, so some shared datums live
+// away from rank 1's home server.
+const char* kFencedClaimProgram = R"(
+proc work {i shared out} {
+  set sum 0
+  foreach s $shared { set sum [expr {$sum + [turbine::retrieve_integer $s]}] }
+  if {$i == 0 && [turbine::rank] == 1} {
+    set end [expr {[clock milliseconds] + 400}]
+    while {[clock milliseconds] < $end} {}
+  }
+  foreach s $shared { turbine::read_incr $s -1 }
+  turbine::store_integer $out [expr {$sum * $i}]
+}
+proc report {ids shared} {
+  set end [expr {[clock milliseconds] + 600}]
+  while {[clock milliseconds] < $end} {}
+  set sum 0
+  foreach x $ids { set sum [expr {$sum + [turbine::retrieve_integer $x]}] }
+  set vals [list]
+  foreach s $shared { lappend vals [turbine::retrieve_integer $s] }
+  puts "sum $sum shared $vals"
+}
+proc swift:main {} {
+  set n 12
+  set shared [list]
+  for {set k 0} {$k < 4} {incr k} {
+    set s [turbine::allocate integer]
+    turbine::store_integer $s [expr {$k + 1}]
+    turbine::read_incr $s $n
+    lappend shared $s
+  }
+  set ids [list]
+  for {set i 0} {$i < $n} {incr i} { lappend ids [turbine::allocate integer] }
+  turbine::rule $ids "report [list $ids] [list $shared]" type LOCAL
+  turbine::put_work_to 1 "work 0 [list $shared] [lindex $ids 0]"
+  for {set i 1} {$i < $n} {incr i} {
+    turbine::put_work "work $i [list $shared] [lindex $ids $i]"
+  }
+}
+)";
+
+TEST(Faults, FencedWorkerDoesNotGiveUpItsClaimsTwice) {
+  runtime::Config cfg = base_config();
+  cfg.servers = 2;
+  const std::string expected = runtime::run_program(cfg, kFencedClaimProgram).output();
+  ASSERT_EQ(expected, "sum 660 shared 1 2 3 4\n");
+
+  cfg.heartbeat_timeout_ms = 150;
+  const runtime::RunResult r = runtime::run_program(cfg, kFencedClaimProgram);
+  EXPECT_EQ(r.output(), expected);
+  EXPECT_EQ(r.ft.attempts, 1);
+  EXPECT_GE(r.server_stats.heartbeat_deaths, 1u);
+}
+
+// A leaf task claims a datum for a child it puts (read_incr +1, then a
+// targeted put that ships at once), and stays busy 200 ms after the put.
+// The child reads the datum and gives up the claim right away. The
+// claim must reach the datum's owner before the child's release, or the
+// datum is freed while the engine still holds its own claim on it.
+const char* kClaimForChildProgram = R"(
+proc child {d out} {
+  set v [turbine::retrieve_integer $d]
+  turbine::read_incr $d -1
+  turbine::store_integer $out [expr {$v * 2}]
+}
+proc parent {d out} {
+  turbine::read_incr $d 1
+  turbine::put_work_to [expr {[turbine::rank] % 3 + 1}] "child $d $out"
+  set end [expr {[clock milliseconds] + 200}]
+  while {[clock milliseconds] < $end} {}
+}
+proc report {d out} {
+  puts "out [turbine::retrieve_integer $out] d [turbine::retrieve_integer $d]"
+}
+proc swift:main {} {
+  set d [turbine::allocate integer]
+  turbine::store_integer $d 21
+  set out [turbine::allocate integer]
+  turbine::rule [list $out] "report $d $out" type LOCAL
+  turbine::put_work "parent $d $out"
+}
+)";
+
+TEST(Faults, ClaimForAChildReachesTheOwnerFirst) {
+  const runtime::RunResult r = runtime::run_program(base_config(), kClaimForChildProgram);
+  EXPECT_EQ(r.output(), "out 42 d 21\n");
+}
+
+// Leaf tasks that only print. Each worker takes its eight targeted units
+// in batches of up to four, each unit busy for 5 ms so the next batch is
+// queued by the time it asks; worker rank 2 dies as it takes its fourth
+// unit, after finishing earlier units of the same batch. A finished unit
+// that printed is not run again, so no line repeats.
+const char* kPrintingLeavesProgram = R"(
+proc work {i} {
+  set end [expr {[clock milliseconds] + 5}]
+  while {[clock milliseconds] < $end} {}
+  puts "unit $i"
+}
+proc swift:main {} {
+  for {set i 0} {$i < 48} {incr i} {
+    if {$i < 24} { turbine::put_work_to [expr {1 + $i % 3}] "work $i" } else { turbine::put_work "work $i" }
+  }
+}
+)";
+
+TEST(Faults, FinishedPrintingUnitsAreNotRerun) {
+  runtime::Config cfg = base_config();
+  std::vector<std::string> expected = runtime::run_program(cfg, kPrintingLeavesProgram).lines;
+  ASSERT_EQ(expected.size(), 48u);
+  std::sort(expected.begin(), expected.end());
+
+  cfg.fault_plan.kill_rank(/*rank=*/2, /*at_unit=*/4);
+  const runtime::RunResult r = runtime::run_program(cfg, kPrintingLeavesProgram);
+  std::vector<std::string> lines = r.lines;
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines, expected);
+  EXPECT_EQ(r.ft.faults_fired, 1);
+  EXPECT_GE(r.server_stats.requeues, 1u);
 }
 
 // ---- seeded soak: every fault kind, many points, identical output ----
