@@ -173,7 +173,7 @@ void Client::finish_task() {
   // never sends them, and neither does a fenced one (kFenced), whose
   // unit the server requeued: only the rerun that finishes applies them.
   if (held_refs_.empty()) return;
-  for (const auto& [id, delta] : held_refs_) send_ref_incr(id, delta);
+  for (const auto& [id, delta] : held_refs_) ref_incr(id, delta);  // the task is closed
   held_refs_.clear();
   sync();
 }
@@ -579,10 +579,6 @@ void Client::ref_incr(int64_t id, int delta) {
     held_refs_.emplace_back(id, delta);
     return;
   }
-  send_ref_incr(id, delta);
-}
-
-void Client::send_ref_incr(int64_t id, int delta) {
   const int server = owner_server(id, comm_.size(), cfg_);
   ser::Writer& w = pipeline_writer(server, Op::kRefIncr);
   w.put_i64(id);

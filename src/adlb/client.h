@@ -247,7 +247,6 @@ class Client {
   void pipeline_drain_one(int server);  // consume one outstanding kAckBatch
   void pipeline_drain(int server);      // ... all of them for one server
   void maybe_throw_deferred();
-  void send_ref_incr(int64_t id, int delta);
 
   // ---- cache internals ----
   // Drains the invalidation header every reply starts with (protocol.h).

@@ -268,6 +268,8 @@ enum class Op : uint8_t {
   kHungry = 61,      // this server has parked Gets and no work of a type
   kToken = 62,       // termination-detection token
   kShutdownServer = 63,
+  kFenceClient = 64,  // i32 client: its home server declared that live
+                      // client dead by heartbeat (see AckStatus::kFenced)
 };
 
 // Marks a kDataBatch sub-op opcode as a replay (see kDataBatch).

@@ -128,16 +128,13 @@ void Server::handle_request(const mpi::Message& m) {
     last_seen_[m.source] = comm_.wtime();
   }
   // A client declared dead may still be alive (fenced off by the
-  // heartbeat). Its units were requeued, and their reruns make the puts
-  // and writes it still sends: none of them is applied.
+  // heartbeat, which every server learns). Its units were requeued, and
+  // their reruns make the puts and writes it still sends: none of them
+  // is applied.
   const bool fenced = !dead_clients_.empty() && dead_clients_.count(m.source) > 0;
   switch (op) {
     case Op::kPutBatch: {
-      if (fenced) {
-        reply_ack(m.source);
-        break;
-      }
-      uint64_t n = r.get_u64();
+      const uint64_t n = fenced ? 0 : r.get_u64();
       std::string error;
       for (uint64_t i = 0; i < n; ++i) {
         WorkUnit unit = read_work_unit(r);
@@ -480,15 +477,15 @@ void Server::on_client_dead(int client) {
   if (inflight != inflight_.end()) {
     std::vector<WorkUnit> batch = std::move(inflight->second);
     inflight_.erase(inflight);
-    for (const WorkUnit& unit : batch) {
-      if (unit.req == 0) continue;
-      // A resident request's accounting cannot be replayed in place.
-      comm_.abort("ilps: worker rank " + std::to_string(client) + " died holding a unit of request <" +
-                  std::to_string(unit.req) + ">; request units are not recovered");
-      done_ = true;
-      return;
-    }
     for (WorkUnit& unit : batch) {
+      if (unit.req != 0) {
+        // A resident request's accounting cannot be replayed in place.
+        comm_.abort("ilps: worker rank " + std::to_string(client) +
+                    " died holding a unit of request <" + std::to_string(unit.req) +
+                    ">; request units are not recovered");
+        done_ = true;
+        return;
+      }
       requeue_or_fail(std::move(unit), client, "the rank died");
       if (done_) return;
     }
@@ -539,6 +536,14 @@ bool Server::check_heartbeats() {
       obs::instant(obs::EventKind::kHeartbeatDeath, c,
                    static_cast<int64_t>((now - it->second) * 1000.0));
       log::warn("adlb: client ", c, " silent beyond heartbeat timeout, declaring dead");
+      // Every shard learns of the fence before the units are requeued, so
+      // the transport's arrival order puts the notice ahead of every write
+      // their reruns make. A write the client itself sends lands before
+      // the notice (a rerun replays it) or is refused after it (kFenced).
+      ser::Writer w;
+      w.put_u8(static_cast<uint8_t>(Op::kFenceClient));
+      w.put_i32(c);
+      for (int peer : peer_servers_) send_basic(peer, w);
       on_client_dead(c);
       declared = true;
       if (done_) break;
@@ -790,6 +795,12 @@ void Server::handle_server(const mpi::Message& m) {
     case Op::kShutdownServer: {
       release_parked();
       done_ = true;
+      break;
+    }
+    case Op::kFenceClient: {
+      --basic_count_;
+      black_ = true;
+      on_client_dead(r.get_i32());
       break;
     }
     default:

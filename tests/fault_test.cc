@@ -620,18 +620,21 @@ TEST(Faults, RefcountsSurviveReplayedUnits) {
 // fenced attempt then finishes and must not give them up a second time.
 // The engine holds one more claim on each shared datum and reads them
 // 600 ms after the last task closed, after the fenced attempt's
-// decrements would have landed. Two servers, so some shared datums live
-// away from rank 1's home server.
+// decrements would have landed. Task 0 writes five outputs and reads the
+// last one back: with several servers some live away from rank 1's home
+// server, and the fenced attempt's repeat of a write its rerun already
+// made must not fail the run as a double assignment.
 const char* kFencedClaimProgram = R"(
-proc work {i shared out} {
+proc work {i shared outs} {
   set sum 0
   foreach s $shared { set sum [expr {$sum + [turbine::retrieve_integer $s]}] }
   if {$i == 0 && [turbine::rank] == 1} {
     set end [expr {[clock milliseconds] + 400}]
     while {[clock milliseconds] < $end} {}
   }
+  foreach out $outs { turbine::store_integer $out [expr {$sum * $i}] }
+  turbine::retrieve_integer [lindex $outs end]
   foreach s $shared { turbine::read_incr $s -1 }
-  turbine::store_integer $out [expr {$sum * $i}]
 }
 proc report {ids shared} {
   set end [expr {[clock milliseconds] + 600}]
@@ -652,26 +655,28 @@ proc swift:main {} {
     lappend shared $s
   }
   set ids [list]
-  for {set i 0} {$i < $n} {incr i} { lappend ids [turbine::allocate integer] }
+  for {set i 0} {$i < $n + 4} {incr i} { lappend ids [turbine::allocate integer] }
   turbine::rule $ids "report [list $ids] [list $shared]" type LOCAL
-  turbine::put_work_to 1 "work 0 [list $shared] [lindex $ids 0]"
+  turbine::put_work_to 1 "work 0 [list $shared] [list [lrange $ids 0 4]]"
   for {set i 1} {$i < $n} {incr i} {
-    turbine::put_work "work $i [list $shared] [lindex $ids $i]"
+    turbine::put_work "work $i [list $shared] [lindex $ids [expr {$i + 4}]]"
   }
 }
 )";
 
 TEST(Faults, FencedWorkerDoesNotGiveUpItsClaimsTwice) {
-  runtime::Config cfg = base_config();
-  cfg.servers = 2;
-  const std::string expected = runtime::run_program(cfg, kFencedClaimProgram).output();
-  ASSERT_EQ(expected, "sum 660 shared 1 2 3 4\n");
+  for (int servers : {2, 3}) {
+    runtime::Config cfg = base_config();
+    cfg.servers = servers;
+    const std::string expected = runtime::run_program(cfg, kFencedClaimProgram).output();
+    ASSERT_EQ(expected, "sum 660 shared 1 2 3 4\n");
 
-  cfg.heartbeat_timeout_ms = 150;
-  const runtime::RunResult r = runtime::run_program(cfg, kFencedClaimProgram);
-  EXPECT_EQ(r.output(), expected);
-  EXPECT_EQ(r.ft.attempts, 1);
-  EXPECT_GE(r.server_stats.heartbeat_deaths, 1u);
+    cfg.heartbeat_timeout_ms = 150;
+    const runtime::RunResult r = runtime::run_program(cfg, kFencedClaimProgram);
+    EXPECT_EQ(r.output(), expected) << servers << " servers";
+    EXPECT_EQ(r.ft.attempts, 1) << servers << " servers";
+    EXPECT_GE(r.server_stats.heartbeat_deaths, 1u) << servers << " servers";
+  }
 }
 
 // A leaf task claims a datum for a child it puts (read_incr +1, then a
